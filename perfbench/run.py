@@ -141,8 +141,9 @@ def run_workload(workload: str, args, paths: dict, spec: dict, root: str) -> dic
     metrics = {name: {"value": values[name], "unit": units[name]} for name in units}
     for name, m in metrics.items():
         print(f"{workload} {name} {m['value']:.6g} {m['unit']}")
-    print(f"{workload} rounds {res['rounds']} (round 0 untimed: {res['warmup_s']:.3f} s), "
+    print(f"{workload} rounds {res['rounds']} (untimed warm-up: {res['warmup_s']:.3f} s), "
           f"operations attempted {res['attempted']}, failed {res['failed']}")
+    print(f"{workload} untraced round walls: " + " ".join(f"{w:.3f}" for w in res["round_walls"]))
     for problem in res["problems"]:
         print(f"{workload} failed: {problem}")
     for name in res.get("untraced", []):

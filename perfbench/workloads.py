@@ -6,11 +6,12 @@ Started by ``run.py`` with the checkout's ``src`` on ``PYTHONPATH``::
 
 It imports ``supermart`` and ``supermart.cli`` first and records when that
 import finished, then repeats whole rounds of the workload's operations on
-the same seed-derived inputs until ``--seconds`` have passed.  Round 0 is
-checked against the oracles but not timed; every later round must reproduce
-round 0's outputs byte for byte.  With ``--trace 1`` even rounds after round
-0 run traced.  The last
-line of standard output is one JSON object for ``run.py``.
+the same seed-derived inputs until ``--seconds`` have passed and at least
+``MIN_ROUNDS`` rounds have run.  An untimed, unchecked warm-up comes first;
+every round is timed.  Round 0 is checked against the oracles and every
+later round must reproduce round 0's outputs byte for byte.  With
+``--trace 1`` odd rounds run traced.  The last line of standard output is
+one JSON object for ``run.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ IMPORT_DONE = time.monotonic()
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -45,6 +47,7 @@ Z_BOUND = 4.0  # |z| allowed for a statistical check against an exact value
 VERDICT_Z = 3.0  # standard errors by which an "inconclusive" may miss a cutoff
 HOLD_FRACTION = 0.95  # as_rate "holds": share of paths under the top threshold
 FAIL_FRACTION = 0.05  # as_rate "fails-consistent": share above every threshold
+MIN_ROUNDS = 3  # a median of fewer timed rounds follows the host's moment-to-moment speed
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -200,6 +203,10 @@ class Op:
 class Workload:
     """Inputs made from the seed; ``run_round`` calls the program, ``check`` judges it."""
 
+    def warm_up(self, rdir: str):
+        """Untimed and unchecked: lazy imports inside the program and first touches of memory."""
+        self.run_round(rdir)
+
     def fingerprints(self, res) -> dict:
         """Digest of each operation's outputs, keyed by operation name."""
         raise NotImplementedError
@@ -236,6 +243,7 @@ class PipelineHeavytail(Workload):
         "kernels": [{"kind": "stable", "gamma": 0.45, "alpha": 1.5}],
     }
     paths = 1500
+    warm_paths = 100  # the warm-up needs only the code paths
     dt = 0.02
     horizon = 10.0
     stride = 3
@@ -245,12 +253,16 @@ class PipelineHeavytail(Workload):
     max_paths = 50
 
     def __init__(self, seed: int, out: str):
-        self.scenario = {
+        self.config = write_json(os.path.join(out, "scenario.json"), self._scenario(seed, self.paths))
+        self.warm_config = write_json(os.path.join(out, "warm_up.json"), self._scenario(seed, self.warm_paths))
+
+    def _scenario(self, seed: int, paths: int) -> dict:
+        return {
             "model": self.model,
             "kind": "csbp",
             "master_seed": derive_seed(seed, 1),
             "sim": {
-                "dt": self.dt, "horizon": self.horizon, "paths": self.paths,
+                "dt": self.dt, "horizon": self.horizon, "paths": paths,
                 "epsilon": self.epsilon, "record_stride": self.stride, "log_jumps": True,
             },
             "analyses": {
@@ -262,13 +274,15 @@ class PipelineHeavytail(Workload):
                 "rates": {"p": list(self.p_values), "gamma": list(self.gamma_values), "F": [0]},
             },
         }
-        self.config = write_json(os.path.join(out, "scenario.json"), self.scenario)
 
-    def run_round(self, rdir: str):
+    def warm_up(self, rdir: str):
+        self.run_round(rdir, self.warm_config)
+
+    def run_round(self, rdir: str, config: str | None = None):
         run_dir = os.path.join(rdir, "run")
         paths_csv = os.path.join(run_dir, "paths.csv")
         argvs = {
-            "run": ["run", "--config", self.config, "--out", run_dir],
+            "run": ["run", "--config", config or self.config, "--out", run_dir],
             "functionals": [
                 "functionals", "--paths", paths_csv, "--kinds", "A", "Atilde", "C", "Ctilde",
                 "--p", "2", "--a-star", "2", "--gamma", "1",
@@ -413,18 +427,23 @@ class EngineSpine(Workload):
         "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}] * 2,
     }
     paths = 16384  # four 4096-path engine chunks
+    warm_paths = 512  # a full round costs about 9 s; the warm-up needs only the code paths
     dt = 0.01
     horizon = 1.0
     epsilon = 0.25  # below the atom, so every atom is a large jump
-    threads = 2
+    # a second thread makes the GIL-bound engine slower, and its timing follows
+    # the host's CPU steal (see the README)
+    threads = 1
 
     def __init__(self, seed: int, out: str):
         self.seeds = (derive_seed(seed, 2), derive_seed(seed, 3))
-        self.threads = min(self.threads, len(os.sched_getaffinity(0)))
 
-    def run_round(self, rdir: str):
+    def warm_up(self, rdir: str):
+        self.run_round(rdir, self.warm_paths)
+
+    def run_round(self, rdir: str, paths: int | None = None):
         stride = int(round(self.horizon / self.dt))
-        common = dict(dt=self.dt, horizon=self.horizon, paths=self.paths, epsilon=self.epsilon,
+        common = dict(dt=self.dt, horizon=self.horizon, paths=paths or self.paths, epsilon=self.epsilon,
                       record_stride=stride, log_jumps=False)
         t0 = time.perf_counter()
         model = supermart.model_from_json(self.model)
@@ -757,15 +776,19 @@ def main(argv=None) -> int:
     unexpected = []
     start = time.monotonic()
     k = 0
-    warmup_s = None
+    # every round writes to the same place: artifacts may embed their input paths
+    rdir = os.path.join(args.out, "round")
+    shutil.rmtree(rdir, ignore_errors=True)
+    os.makedirs(rdir)
+    t0 = time.perf_counter()
+    wl.warm_up(rdir)
+    warmup_s = time.perf_counter() - t0
     while True:
-        # round 0 is a warm-up: lazy imports inside the program and first
-        # touches of memory land there, so it is checked but not timed
-        traced = bool(args.trace) and k > 0 and k % 2 == 0
-        # every round writes to the same place: artifacts may embed their input paths
-        rdir = os.path.join(args.out, "round")
+        traced = bool(args.trace) and k % 2 == 1
         shutil.rmtree(rdir, ignore_errors=True)
         os.makedirs(rdir)
+        # every round starts from the same heap: no collection left over from the last
+        gc.collect()
         run_id = f"{args.workload}-seed{args.seed}-round{k}"
         if traced:
             tracer.install(run_id)
@@ -773,10 +796,7 @@ def main(argv=None) -> int:
             wall, res = wl.run_round(rdir)
         finally:
             peaks = tracer.uninstall() if traced else None
-        if k == 0:
-            warmup_s = wall
-        else:
-            walls[traced].append(wall)
+        walls[traced].append(wall)
         if traced:
             layer_rounds.append(tracing.layer_metrics(tracer.spans, run_id, peaks))
         ops = wl.check(res) if reference is None else wl.repeat(res, reference)
@@ -790,7 +810,7 @@ def main(argv=None) -> int:
                     unexpected.append(f"round {k} {op.name}: " + "; ".join(op.problems))
         k += 1
         elapsed = time.monotonic() - start
-        if elapsed >= args.seconds and walls[False] and (walls[True] or not args.trace):
+        if elapsed >= args.seconds and k >= MIN_ROUNDS:
             break
         del res
 
