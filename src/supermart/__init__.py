@@ -21,7 +21,6 @@ from .model import (
     model_to_json,
     gw_from_json,
     gw_to_json,
-    phi_partial_moment,
     phi_tail,
     sample_large_jump,
     validate_model,
@@ -51,7 +50,6 @@ from .criteria import (
 )
 from .sim import (
     Ensemble,
-    GWEnsemble,
     PathRecord,
     SimConfig,
     SpineConfig,

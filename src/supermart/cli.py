@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from .errors import SupermartError
-from .model import gw_from_json, model_from_json, model_to_json, validate_model
+from .model import gw_from_json, gw_to_json, model_from_json, model_to_json, validate_model
 from .spectral import assumption2_report, principal_eigentriple, spectral_gap
-from .criteria import conjugate, evaluate_criteria, gw_predictions
+from .criteria import Predictions, conjugate, evaluate_criteria, gw_predictions
 from .sim import SimConfig, SpineConfig, simulate_csbp, simulate_gw, simulate_spine
-from .functionals import a_functional, a_tilde_functional, c_functionals
+from .functionals import FunctionalCurve, a_functional, a_tilde_functional, c_functionals
 from .rates import as_rate_check, fit_exponential, lp_curve, poly_rate_check, window_law_check
 from .io import (
     config_hash,
@@ -150,54 +150,47 @@ def _require_valid(model):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# pipeline stages, each called by `run` and by its own subcommand
 
 
-def cmd_eigen(args):
-    model, _ = _resolve_model(args.model)
-    eig = _require_valid(model)
-    gap = spectral_gap(model)
-    rep = assumption2_report(model, eig, target=args.target)
-    payload = {
+def _eigen_payload(model, eig, target: float) -> dict:
+    """eigen.json: Perron triple, spectral gap and the c_t curve."""
+    rep = assumption2_report(model, eig, target=target)
+    return {
         "lambda": eig.lam,
         "phi": eig.phi,
         "nu": eig.nu,
-        "gap": gap,
+        "gap": spectral_gap(model),
         "t_star": rep["t_star"],
         "c_curve": [[float(t), float(c)] for t, c in zip(rep["curve"].grid, rep["curve"].c)],
     }
-    out = args.out or "eigen.json"
-    write_json(out, payload, _meta(None, model_to_json(model)))
-    print(out)
 
 
-def cmd_criteria(args):
-    model, _ = _resolve_model(args.model)
-    eig = _require_valid(model)
-    f_set = [int(v) for v in args.F.split(",")] if args.F else None
+def _criteria(model, gw, eig, cfg: dict):
+    """criteria.json payload and the `Predictions` the rate checks test."""
+    p_values = tuple(cfg.get("p", []))
+    gamma_values = tuple(cfg.get("gamma", []))
+    if gw is not None:
+        preds = gw_predictions(gw, p_values=p_values, gamma_values=gamma_values)
+        return preds.as_dict(), preds
     report = evaluate_criteria(
         model,
         eig,
-        p_values=tuple(args.p),
-        gamma_values=tuple(args.gamma),
-        f_set=f_set,
-        t0=args.t0,
-        t1=args.t1,
+        p_values=p_values,
+        gamma_values=gamma_values,
+        f_set=cfg.get("F"),
+        t0=cfg.get("t0", 10.0),
+        t1=cfg.get("t1", 10.0),
     )
-    out = args.out or "criteria.json"
-    write_json(out, report.as_dict(), _meta(None, model_to_json(model)))
-    print(out)
+    return report.as_dict(), report.predictions
 
 
 def _sim_config(scn: dict, kind: str):
-    sim = dict(scn.get("sim", {}))
-    sim.setdefault("dt", 0.005)
-    sim.setdefault("horizon", 4.0)
-    sim.setdefault("paths", 1000)
+    sim = scn.get("sim", {})
     base = {
-        "dt": sim["dt"],
-        "horizon": sim["horizon"],
-        "paths": sim["paths"],
+        "dt": sim.get("dt", 0.005),
+        "horizon": sim.get("horizon", 4.0),
+        "paths": sim.get("paths", 1000),
         "master_seed": scn["master_seed"],
         "epsilon": sim.get("epsilon"),
         "record_stride": sim.get("record_stride", 1),
@@ -210,166 +203,83 @@ def _sim_config(scn: dict, kind: str):
     return SimConfig(**base)
 
 
-def _simulate(scn: dict, model, gw, threads: int):
+def _simulate(scn: dict, model, gw, eig, threads: int):
     kind = scn["kind"]
     if kind == "gw":
         gens = scn.get("gw", {}).get("generations", 20)
-        return simulate_gw(gw, gens, scn["sim"]["paths"], scn["master_seed"]), None
-    eig = _require_valid(model)
+        return simulate_gw(gw, gens, scn["sim"]["paths"], scn["master_seed"])
     cfg = _sim_config(scn, kind)
     x0 = np.asarray(scn["x0"], dtype=float) if "x0" in scn else None
     if kind == "spine":
-        res = simulate_spine(model, eig, cfg, x0=x0, threads=threads)
-        return res.ensemble, eig
-    return simulate_csbp(model, eig, cfg, x0=x0, threads=threads), eig
+        return simulate_spine(model, eig, cfg, x0=x0, threads=threads).ensemble
+    return simulate_csbp(model, eig, cfg, x0=x0, threads=threads)
 
 
-def cmd_simulate(args):
-    scn = {
-        "model": args.model,
-        "kind": args.kind,
-        "master_seed": args.seed,
-        "sim": {
-            "dt": args.dt,
-            "horizon": args.horizon,
-            "paths": args.paths,
-            "record_stride": args.record_stride,
-        },
-    }
-    model, gw = _resolve_model(args.model)
-    ens, eig = _simulate(scn, model, gw, args.threads)
-    out_dir = ensure_dir(args.out or ".")
-    meta = _meta(args.seed, scn)
-    if eig is not None:
-        meta["lambda"] = f"{eig.lam:.17g}"
-        meta["phi"] = " ".join(f"{v:.17g}" for v in eig.phi)
+def _write_ensemble(out_dir: str, ens, meta: dict) -> str:
+    """paths.csv, plus the jumps.csv sidecar when jumps were logged."""
     paths_file = os.path.join(out_dir, "paths.csv")
-    if args.kind == "gw":
-        _write_gw_csv(paths_file, ens, meta)
-    else:
-        write_paths_csv(paths_file, ens, meta)
-        if ens.jumps is not None:
-            write_jumps_csv(os.path.join(out_dir, "jumps.csv"), ens, meta)
-    print(paths_file)
+    write_paths_csv(paths_file, ens, meta)
+    if ens.jumps is not None:
+        write_jumps_csv(os.path.join(out_dir, "jumps.csv"), ens, meta)
+    return paths_file
 
 
-def _write_gw_csv(path, gw_ens, meta):
-    with open(path, "w") as fh:
-        for k in sorted(meta):
-            fh.write(f"# {k}: {meta[k]}\n")
-        fh.write("path_id,t,mass_1,M\n")
-        for pid in range(gw_ens.n_paths):
-            for n, w in enumerate(gw_ens.W[pid]):
-                fh.write(f"{pid},{n},{w:.17g},{w:.17g}\n")
+def _functional_rows(ens, kinds, max_paths: int, a_star: float, p: float, gamma: float) -> list:
+    """``(path_id, kind, t, value)`` rows of per-path curves, kinds in the order given.
 
-
-def cmd_functionals(args):
-    ens, meta = read_paths_csv(args.paths)
+    Unknown kinds are skipped; ``C`` and ``Ctilde`` share one `c_functionals` call.
+    """
     rows = []
-    n = min(ens.n_paths, args.max_paths)
-    for pid in range(n):
+    for pid in range(min(ens.n_paths, max_paths)):
         pr = ens.path(pid)
         minf = float(pr.M[-1])
-        curves = []
-        if "M" in args.kinds:
-            curves.append(("M", pr.times, pr.M))
-        if "A" in args.kinds:
-            c = a_functional(pr, minf, args.a_star)
-            curves.append((c.kind, c.grid, c.values))
-        if "Atilde" in args.kinds:
-            c = a_tilde_functional(pr, args.p)
-            curves.append((c.kind, c.grid, c.values))
-        if "C" in args.kinds or "Ctilde" in args.kinds:
-            c1, c2 = c_functionals(pr, minf, args.gamma)
-            if "C" in args.kinds:
-                curves.append((c1.kind, c1.grid, c1.values))
-            if "Ctilde" in args.kinds:
-                curves.append((c2.kind, c2.grid, c2.values))
-        for kind, grid, vals in curves:
-            for t, v in zip(grid, vals):
-                rows.append((pid, kind, t, v))
-    out = args.out or "functionals.csv"
-    write_curves_csv(out, rows, dict(meta))
-    print(out)
+        c_pair = None
+        for kind in kinds:
+            if kind == "M":
+                curve = FunctionalCurve(grid=pr.times, values=pr.M, kind="M")
+            elif kind == "A":
+                curve = a_functional(pr, minf, a_star)
+            elif kind == "Atilde":
+                curve = a_tilde_functional(pr, p)
+            elif kind in ("C", "Ctilde"):
+                c_pair = c_pair or c_functionals(pr, minf, gamma)
+                curve = c_pair[kind == "Ctilde"]
+            else:
+                continue
+            rows.extend((pid, curve.kind, t, v) for t, v in zip(curve.grid, curve.values))
+    return rows
 
 
-def _rates_payload(ens, eig, criteria_report, rate_cfg):
+def _rates_payload(ens, eig, preds, rate_cfg: dict):
+    """Rate fits and checks against ``preds``, plus the `lp_curve` of each p."""
     lam = ens.lam
-    fits = []
-    checks = {}
-    pred_by_p = {}
-    if criteria_report is not None:
-        for item in criteria_report.predictions.per_p:
-            pred_by_p[item["p"]] = item
+    thresholds = tuple(rate_cfg.get("thresholds", (0.5, 1, 2, 4, 8)))
+    pred_by_p = {item["p"]: item for item in preds.per_p} if preds is not None else {}
+    fits, checks, curves = [], {}, {}
     for p in rate_cfg.get("p", []):
         q = conjugate(p)
         pred = pred_by_p.get(p)
-        curve = lp_curve(ens, p)
-        positive = np.asarray(curve["value"]) > 0
-        fit = None
-        if positive.all():
+        curve = curves[p] = lp_curve(ens, p)
+        if (np.asarray(curve["value"]) > 0).all():
             predicted = -lam / q if pred is None or pred["as_rate_holds"] else None
             fit = fit_exponential(curve, predicted=predicted)
             fits.append({"p": p, **fit.as_dict()})
-        checks[f"as_rate_p{p:g}"] = as_rate_check(
-            ens, q, lam, thresholds=tuple(rate_cfg.get("thresholds", (0.5, 1, 2, 4, 8)))
-        )
+        checks[f"as_rate_p{p:g}"] = as_rate_check(ens, q, lam, thresholds=thresholds)
     for g in rate_cfg.get("gamma", []):
-        checks[f"poly_gamma{g:g}"] = poly_rate_check(
-            ens, g, thresholds=tuple(rate_cfg.get("thresholds", (0.5, 1, 2, 4, 8)))
-        )
+        checks[f"poly_gamma{g:g}"] = poly_rate_check(ens, g, thresholds=thresholds)
     if eig is not None and rate_cfg.get("F"):
         checks["window_law"] = window_law_check(ens, rate_cfg["F"], eig)
-    return fits, checks
+    return fits, checks, curves
 
 
-class _LoadedPredictions:
-    """Adapter exposing per_p prediction rows parsed back from criteria JSON."""
-
-    def __init__(self, doc):
-        preds = doc.get("predictions", doc)
-        self.per_p = [
-            {**row, "p": float(row["p"])} for row in preds.get("per_p", [])
-        ]
-        self.per_gamma = preds.get("per_gamma", [])
-
-
-def cmd_rates(args):
-    ens, meta = read_paths_csv(args.paths)
-    criteria = None
-    if args.criteria:
-        with open(args.criteria) as fh:
-
-            class _Wrap:
-                predictions = _LoadedPredictions(json.load(fh))
-
-            criteria = _Wrap()
-    rate_cfg = {"p": args.p, "gamma": args.gamma}
-    eig = None
-    fits, checks = _rates_payload(ens, eig, criteria, rate_cfg)
-    out = args.out or "rates.json"
-    write_json(out, {"fits": fits, "checks": checks, "criteria_file": args.criteria}, dict(meta))
-    # plot-ready curve CSV
-    plot = args.plot or "ratecurves.csv"
-    with open(plot, "w") as fh:
-        fh.write("p,t,value,stderr\n")
-        for p in args.p:
-            curve = lp_curve(ens, p)
-            for t, v, s in zip(curve["t"], curve["value"], curve["stderr"]):
-                fh.write(f"{p:g},{t:.17g},{v:.17g},{s:.17g}\n")
-    print(out)
-
-
-def _summary(criteria_report, fits, checks) -> dict:
+def _summary(preds, fits, checks) -> dict:
     """Map each theorem clause to {predicted, observed, verdict}."""
-    clauses = {}
-    if criteria_report is None:
-        return clauses
-    preds = criteria_report.predictions
-    clauses["llogl_nondegenerate"] = {
-        "predicted": preds.nondegenerate,
-        "observed": None,
-        "verdict": "assumed",
+    clauses = {
+        "llogl_nondegenerate": {
+            "predicted": preds.nondegenerate,
+            "observed": None,
+            "verdict": "assumed",
+        }
     }
     fit_by_p = {f["p"]: f for f in fits}
     for item in preds.per_p:
@@ -411,6 +321,80 @@ def _summary(criteria_report, fits, checks) -> dict:
     return clauses
 
 
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_eigen(args):
+    model, _ = _resolve_model(args.model)
+    eig = _require_valid(model)
+    out = args.out or "eigen.json"
+    write_json(out, _eigen_payload(model, eig, args.target), _meta(None, model_to_json(model)))
+    print(out)
+
+
+def cmd_criteria(args):
+    model, gw = _resolve_model(args.model)
+    eig = _require_valid(model) if model is not None else None
+    cfg = {
+        "p": args.p,
+        "gamma": args.gamma,
+        "F": [int(v) for v in args.F.split(",")] if args.F else None,
+        "t0": args.t0,
+        "t1": args.t1,
+    }
+    doc, _ = _criteria(model, gw, eig, cfg)
+    out = args.out or "criteria.json"
+    write_json(out, doc, _meta(None, model_to_json(model) if gw is None else gw_to_json(gw)))
+    print(out)
+
+
+def cmd_simulate(args):
+    scn = {
+        "model": args.model,
+        "kind": args.kind,
+        "master_seed": args.seed,
+        "sim": {
+            "dt": args.dt,
+            "horizon": args.horizon,
+            "paths": args.paths,
+            "record_stride": args.record_stride,
+        },
+    }
+    model, gw = _resolve_model(args.model)
+    eig = _require_valid(model) if model is not None else None
+    ens = _simulate(scn, model, gw, eig, args.threads)
+    print(_write_ensemble(ensure_dir(args.out or "."), ens, _meta(args.seed, scn)))
+
+
+def cmd_functionals(args):
+    ens, meta = read_paths_csv(args.paths)
+    rows = _functional_rows(ens, args.kinds, args.max_paths, args.a_star, args.p, args.gamma)
+    out = args.out or "functionals.csv"
+    write_curves_csv(out, rows, dict(meta))
+    print(out)
+
+
+def cmd_rates(args):
+    ens, meta = read_paths_csv(args.paths)
+    preds = None
+    if args.criteria:
+        with open(args.criteria) as fh:
+            preds = Predictions.from_dict(json.load(fh))
+    fits, checks, curves = _rates_payload(ens, None, preds, {"p": args.p, "gamma": args.gamma})
+    out = args.out or "rates.json"
+    write_json(out, {"fits": fits, "checks": checks, "criteria_file": args.criteria}, dict(meta))
+    # plot-ready curve CSV
+    plot = args.plot or "ratecurves.csv"
+    with open(plot, "w") as fh:
+        fh.write("p,t,value,stderr\n")
+        for p in args.p:
+            curve = curves[p]
+            for t, v, s in zip(curve["t"], curve["value"], curve["stderr"]):
+                fh.write(f"{p:g},{t:.17g},{v:.17g},{s:.17g}\n")
+    print(out)
+
+
 def cmd_run(args):
     try:
         scn = _load_json_arg(args.config)
@@ -435,104 +419,38 @@ def cmd_run(args):
         _fail(EXIT_SCHEMA, f"bad model spec: {exc}")
 
     analyses = scn.get("analyses", {})
-    criteria_report = None
     eig = None
-
     if model is not None:
         write_json(os.path.join(out_dir, "model.json"), model_to_json(model), meta)
-        rep = validate_model(model)
-        if not rep.ok:
-            _fail(EXIT_MODEL, "; ".join(rep.failures))
-        try:
-            eig = principal_eigentriple(model)
-        except SupermartError as exc:
-            _fail(EXIT_MODEL, str(exc))
-        a2 = assumption2_report(model, eig, target=0.5)
-        write_json(
-            os.path.join(out_dir, "eigen.json"),
-            {
-                "lambda": eig.lam,
-                "phi": eig.phi,
-                "nu": eig.nu,
-                "gap": spectral_gap(model),
-                "t_star": a2["t_star"],
-                "c_curve": [
-                    [float(t), float(c)] for t, c in zip(a2["curve"].grid, a2["curve"].c)
-                ],
-            },
-            meta,
-        )
-        crit_cfg = analyses.get("criteria", {})
-        criteria_report = evaluate_criteria(
-            model,
-            eig,
-            p_values=tuple(crit_cfg.get("p", [])),
-            gamma_values=tuple(crit_cfg.get("gamma", [])),
-            f_set=crit_cfg.get("F"),
-            t0=crit_cfg.get("t0", 10.0),
-            t1=crit_cfg.get("t1", 10.0),
-        )
-        write_json(os.path.join(out_dir, "criteria.json"), criteria_report.as_dict(), meta)
+        eig = _require_valid(model)
+        write_json(os.path.join(out_dir, "eigen.json"), _eigen_payload(model, eig, 0.5), meta)
     else:
         write_json(os.path.join(out_dir, "model.json"), {"kind": "gw"}, meta)
-        crit_cfg = analyses.get("criteria", {})
-        preds = gw_predictions(
-            gw, p_values=tuple(crit_cfg.get("p", [])), gamma_values=tuple(crit_cfg.get("gamma", []))
-        )
-        write_json(os.path.join(out_dir, "criteria.json"), preds.as_dict(), meta)
+    criteria_doc, preds = _criteria(model, gw, eig, analyses.get("criteria", {}))
+    write_json(os.path.join(out_dir, "criteria.json"), criteria_doc, meta)
 
-    ens, _ = _simulate(scn, model, gw, threads)
-    if eig is not None:
-        meta_paths = dict(meta)
-        meta_paths["lambda"] = f"{eig.lam:.17g}"
-        meta_paths["phi"] = " ".join(f"{v:.17g}" for v in eig.phi)
-        write_paths_csv(os.path.join(out_dir, "paths.csv"), ens, meta_paths)
-        if ens.jumps is not None:
-            write_jumps_csv(os.path.join(out_dir, "jumps.csv"), ens, meta_paths)
-    else:
-        _write_gw_csv(os.path.join(out_dir, "paths.csv"), ens, meta)
+    ens = _simulate(scn, model, gw, eig, threads)
+    _write_ensemble(out_dir, ens, meta)
 
     func_cfg = analyses.get("functionals")
-    if func_cfg and scn["kind"] != "gw":
-        rows = []
-        for pid in range(min(ens.n_paths, func_cfg.get("max_paths", 50))):
-            pr = ens.path(pid)
-            minf = float(pr.M[-1])
-            for kind in func_cfg.get("kinds", ["A", "Atilde"]):
-                if kind == "A":
-                    c = a_functional(pr, minf, func_cfg.get("a_star", 2.0))
-                elif kind == "Atilde":
-                    c = a_tilde_functional(pr, func_cfg.get("p", 2.0))
-                elif kind == "C":
-                    c = c_functionals(pr, minf, func_cfg.get("gamma", 1.0))[0]
-                elif kind == "Ctilde":
-                    c = c_functionals(pr, minf, func_cfg.get("gamma", 1.0))[1]
-                else:
-                    continue
-                rows.extend((pid, c.kind, t, v) for t, v in zip(c.grid, c.values))
+    if func_cfg:
+        rows = _functional_rows(
+            ens,
+            func_cfg.get("kinds", ["A", "Atilde"]),
+            func_cfg.get("max_paths", 50),
+            func_cfg.get("a_star", 2.0),
+            func_cfg.get("p", 2.0),
+            func_cfg.get("gamma", 1.0),
+        )
         write_curves_csv(os.path.join(out_dir, "functionals.csv"), rows, meta)
 
-    rate_cfg = analyses.get("rates", {})
-    gw_preds = None
-    if model is None:
-        gw_preds = gw_predictions(gw, p_values=tuple(rate_cfg.get("p", [])))
-
-        class _Wrap:
-            predictions = gw_preds
-
-        criteria_for_rates = _Wrap()
-    else:
-        criteria_for_rates = criteria_report
-    fits, checks = _rates_payload(ens, eig, criteria_for_rates, rate_cfg)
+    fits, checks, _ = _rates_payload(ens, eig, preds, analyses.get("rates", {}))
     write_json(os.path.join(out_dir, "rates.json"), {"fits": fits, "checks": checks}, meta)
 
-    summary_src = criteria_report if criteria_report is not None else criteria_for_rates
-    clauses = _summary(summary_src, fits, checks)
-    flagged = getattr(ens, "flagged", None)
-    frac_flagged = float(np.mean(flagged)) if flagged is not None else 0.0
+    frac_flagged = float(np.mean(ens.flagged))
     write_json(
         os.path.join(out_dir, "summary.json"),
-        {"clauses": clauses, "flagged_fraction": frac_flagged},
+        {"clauses": _summary(preds, fits, checks), "flagged_fraction": frac_flagged},
         meta,
     )
     if frac_flagged > 0.10:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GWModel, Model, StablePowerLaw
+from .model import GWModel, Model, phi_tail
 from .spectral import Eigentriple
 
 __all__ = [
@@ -59,66 +59,8 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-# ---------------------------------------------------------------------------
-# per-type closed forms for integrals of f(r) pi^phi(dr) over (1, inf)
-
-
-def _type_llogl(kern, phi_i: float) -> float:
-    if isinstance(kern, StablePowerLaw):
-        if kern.gamma == 0.0:
-            return 0.0
-        return kern.gamma * phi_i**kern.alpha / (kern.alpha - 1.0) ** 2
-    return sum(w * (r * phi_i) * math.log(r * phi_i) for r, w in kern.atoms if r * phi_i > 1.0)
-
-
-def _type_p_moment(kern, phi_i: float, p: float) -> float:
-    if isinstance(kern, StablePowerLaw):
-        if kern.gamma == 0.0:
-            return 0.0
-        if p >= kern.alpha:
-            return math.inf
-        return kern.gamma * phi_i**kern.alpha / (kern.alpha - p)
-    return sum(w * (r * phi_i) ** p for r, w in kern.atoms if r * phi_i > 1.0)
-
-
-def _type_log_moment(kern, phi_i: float, g: float) -> float:
-    if isinstance(kern, StablePowerLaw):
-        if kern.gamma == 0.0:
-            return 0.0
-        a = kern.alpha
-        return kern.gamma * phi_i**a * math.gamma(g + 2.0) / (a - 1.0) ** (g + 2.0)
-    return sum(
-        w * (r * phi_i) * math.log(r * phi_i) ** (g + 1.0)
-        for r, w in kern.atoms
-        if r * phi_i > 1.0
-    )
-
-
-def _type_first_moment_tail(kern, phi_i: float, t: float) -> float:
-    """``integral_t^inf r pi^phi(dr)``."""
-    if isinstance(kern, StablePowerLaw):
-        if kern.gamma == 0.0:
-            return 0.0
-        a = kern.alpha
-        return kern.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0)
-    return sum(w * (r * phi_i) for r, w in kern.atoms if r * phi_i > t)
-
-
-def _type_excess_log_tail(kern, phi_i: float, t: float) -> float:
-    """``integral_t^inf r (log r - log t) pi^phi(dr)``."""
-    if isinstance(kern, StablePowerLaw):
-        if kern.gamma == 0.0:
-            return 0.0
-        a = kern.alpha
-        return kern.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0) ** 2
-    return sum(
-        w * (r * phi_i) * (math.log(r * phi_i) - math.log(t))
-        for r, w in kern.atoms
-        if r * phi_i > t
-    )
-
-
 def _nu_average(model: Model, eig: Eigentriple, per_type) -> float:
+    """``sum_i nu_i per_type(kernel_i, phi_i)``; each kernel owns its closed forms."""
     total = 0.0
     for i in range(model.d):
         v = per_type(model.mech.kernels[i], float(eig.phi[i]))
@@ -134,21 +76,21 @@ def _nu_average(model: Model, eig: Eigentriple, per_type) -> float:
 
 def llogl(model: Model, eig: Eigentriple) -> float:
     """``integral nu(dy) integral_1^inf r log r pi^phi(y, dr)``."""
-    return _nu_average(model, eig, _type_llogl)
+    return _nu_average(model, eig, lambda k, f: k.llogl(f))
 
 
 def p_moment(model: Model, eig: Eigentriple, p: float) -> float:
     """``integral nu(dy) integral_1^inf r^p pi^phi(y, dr)`` for p in (1, 2]."""
     if not (1.0 < p <= 2.0):
         raise ValueError("p must lie in (1, 2]")
-    return _nu_average(model, eig, lambda k, f: _type_p_moment(k, f, p))
+    return _nu_average(model, eig, lambda k, f: k.p_moment(f, p))
 
 
 def log_moment(model: Model, eig: Eigentriple, gamma: float) -> float:
     """``integral nu(dx) integral_1^inf r (log r)^(gamma+1) pi^phi(x, dr)``."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    return _nu_average(model, eig, lambda k, f: _type_log_moment(k, f, gamma))
+    return _nu_average(model, eig, lambda k, f: k.log_moment(f, gamma))
 
 
 def _log_grid(t0: float, hi: float = _GRID_HI) -> np.ndarray:
@@ -165,8 +107,6 @@ def uniform_tail_B(model: Model, eig: Eigentriple, t0: float = 10.0) -> float:
     model the ratio is t-independent.  Returns ``inf`` when the denominator
     vanishes while some numerator does not (the bound fails).
     """
-    from .model import phi_tail
-
     best = 0.0
     for t in _log_grid(t0):
         tails = np.array([phi_tail(model, eig, i, t) for i in range(model.d)])
@@ -195,10 +135,7 @@ def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> fl
     best = math.inf
     for t in _log_grid(t1):
         tails = np.array(
-            [
-                _type_first_moment_tail(model.mech.kernels[i], float(eig.phi[i]), t)
-                for i in range(model.d)
-            ]
+            [model.mech.kernels[i].first_moment_tail(float(eig.phi[i]), t) for i in range(model.d)]
         )
         den = float(eig.nu @ tails)
         num = min(tails[i] / float(eig.phi[i]) for i in f_idx)
@@ -228,7 +165,7 @@ def inf_log_condition(
     t_grid = np.asarray(t_grid, dtype=float)
     prods = []
     for t in t_grid:
-        v = _nu_average(model, eig, lambda k, f: _type_excess_log_tail(k, f, t))
+        v = _nu_average(model, eig, lambda k, f: k.excess_log_tail(f, t))
         prods.append(v * math.log(t) ** gamma)
     prods = np.asarray(prods)
     peak = float(prods.max(initial=0.0))
@@ -269,6 +206,16 @@ class Predictions:
             "per_gamma": self.per_gamma,
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Predictions":
+        """Read back ``as_dict`` output, alone or inside a criteria report's."""
+        doc = doc.get("predictions", doc)
+        return cls(
+            nondegenerate=doc["nondegenerate"],
+            per_p=[{**row, "p": float(row["p"])} for row in doc.get("per_p", [])],
+            per_gamma=doc.get("per_gamma", []),
+        )
+
 
 @dataclass
 class CriteriaReport:
@@ -301,6 +248,23 @@ class CriteriaReport:
         return out
 
 
+def _p_row(p: float, lam: float, mom: float, bound_holds: bool) -> dict:
+    """Verdicts for one ``p``: the rate ``exp(-lam t / q)`` holds iff the p-moment
+    is finite, and its failure is expected when it is not and ``bound_holds``."""
+    q = conjugate(p)
+    finite = math.isfinite(mom)
+    return {
+        "p": p,
+        "q": q,
+        "p_moment": mom,
+        "lp_rate_exponent": lam / q,
+        "as_rate_exponent": lam / q,
+        "as_rate_holds": finite,
+        "as_rate_fails_expected": (not finite) and bound_holds,
+        "A_functional_converges": finite,
+    }
+
+
 def theorem_predictions(report: CriteriaReport, p_values=(), gamma_values=()) -> Predictions:
     """Turn criteria values into the rate verdicts the ensemble checks test.
 
@@ -314,23 +278,7 @@ def theorem_predictions(report: CriteriaReport, p_values=(), gamma_values=()) ->
     borderline condition breaks the o(t^-gamma) rate itself.
     """
     lam = report.lam
-    per_p = []
-    for p in p_values:
-        q = conjugate(p)
-        mom = report.p_moments[p]
-        finite = math.isfinite(mom)
-        per_p.append(
-            {
-                "p": p,
-                "q": q,
-                "p_moment": mom,
-                "lp_rate_exponent": lam / q,
-                "as_rate_exponent": lam / q,
-                "as_rate_holds": finite,
-                "as_rate_fails_expected": (not finite) and math.isfinite(report.B),
-                "A_functional_converges": finite,
-            }
-        )
+    per_p = [_p_row(p, lam, report.p_moments[p], math.isfinite(report.B)) for p in p_values]
     per_gamma = []
     for g in gamma_values:
         mom = report.log_moments[g]
@@ -384,23 +332,7 @@ def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
     ``E[Z^p] < infty`` and the log-moment condition ``E[Z (log Z)^(1+g)]``.
     """
     lam = math.log(gw.mean())
-    per_p = []
-    for p in p_values:
-        q = conjugate(p)
-        mom = gw.moment(p)
-        finite = math.isfinite(mom)
-        per_p.append(
-            {
-                "p": p,
-                "q": q,
-                "p_moment": mom,
-                "lp_rate_exponent": lam / q,
-                "as_rate_exponent": lam / q,
-                "as_rate_holds": finite,
-                "as_rate_fails_expected": not finite,
-                "A_functional_converges": finite,
-            }
-        )
+    per_p = [_p_row(p, lam, gw.moment(p), True) for p in p_values]
     per_gamma = []
     for g in gamma_values:
         if gw.pmf is not None:

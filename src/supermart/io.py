@@ -15,6 +15,8 @@ import os
 
 import numpy as np
 
+from .errors import SupermartError
+
 __all__ = [
     "config_hash",
     "jsonable",
@@ -63,84 +65,119 @@ def write_json(path: str, payload: dict, meta: dict) -> None:
         fh.write("\n")
 
 
-def _meta_lines(meta: dict) -> list:
-    return [f"# {k}: {meta[k]}" for k in sorted(meta)]
+def _write_head(fh, meta: dict, header: str) -> None:
+    """The ``# key: value`` metadata block, keys sorted, then the column names."""
+    fh.writelines(f"# {k}: {meta[k]}\n" for k in sorted(meta))
+    fh.write(header + "\n")
+
+
+def _ensemble_meta(ensemble, meta: dict) -> dict:
+    """``meta`` plus the ``lambda`` and ``phi`` that `read_paths_csv` needs."""
+    return {
+        **meta,
+        "lambda": _FMT.format(ensemble.lam),
+        "phi": " ".join(_FMT.format(v) for v in ensemble.phi),
+    }
 
 
 def write_paths_csv(path: str, ensemble, meta: dict) -> None:
-    """Bulk path table: ``path_id,t,mass_1..mass_d,M`` with 17 digits."""
+    """Bulk path table: ``path_id,t,mass_1..mass_d,M`` with 17 digits.
+
+    The metadata block also carries the ensemble's ``lambda`` and ``phi``.
+    """
     d = len(ensemble.phi)
-    times = np.asarray(ensemble.times)
+    times = np.asarray(ensemble.times, dtype=float).tolist()
+    # one format string for a whole path: the shared time column is formatted
+    # once, field 0 is the path id, then come the masses and M of each row
+    k = d + 1
+    block = "".join(
+        f"{{0}},{_FMT.format(t)}," + ",".join(f"{{{1 + j * k + i}:.17g}}" for i in range(k)) + "\n"
+        for j, t in enumerate(times)
+    )
+    no_masses = np.full((len(times), d), np.nan)
     cols = ",".join(f"mass_{i + 1}" for i in range(d))
     with open(path, "w") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        fh.write(f"path_id,t,{cols},M\n")
+        _write_head(fh, _ensemble_meta(ensemble, meta), f"path_id,t,{cols},M")
         for pid in range(ensemble.n_paths):
-            m_row = ensemble.M[pid]
-            mass_row = ensemble.masses[pid] if ensemble.masses is not None else None
-            for j, t in enumerate(times):
-                masses = (
-                    ",".join(_FMT.format(v) for v in mass_row[j])
-                    if mass_row is not None
-                    else ",".join("nan" for _ in range(d))
-                )
-                fh.write(
-                    f"{pid},{_FMT.format(t)},{masses},{_FMT.format(m_row[j])}\n"
-                )
+            masses = ensemble.masses[pid] if ensemble.masses is not None else no_masses
+            values = np.column_stack([masses, ensemble.M[pid]]).ravel().tolist()
+            fh.write(block.format(pid, *values))
 
 
 def write_jumps_csv(path: str, ensemble, meta: dict) -> None:
-    """Sidecar jump log: ``path_id,t,type,size`` (types are 1-based)."""
-    with open(path, "w") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        fh.write("path_id,t,type,size\n")
-        if ensemble.jumps is None:
-            return
-        for pid, arr in enumerate(ensemble.jumps):
-            for t, ty, r in np.asarray(arr).reshape(-1, 3):
-                fh.write(f"{pid},{_FMT.format(t)},{int(ty) + 1},{_FMT.format(r)}\n")
+    """Sidecar jump log: ``path_id,t,type,size`` (types are 1-based).
 
-
-def read_paths_csv(path: str):
-    """Rebuild an Ensemble-shaped object from a paths CSV (plus meta dict).
-
-    ``lam`` and ``phi`` are recovered from the metadata block.
+    Its metadata block is the one `write_paths_csv` writes for the same
+    ensemble, which is how `read_paths_csv` tells that the two belong together.
     """
-    from .sim.records import Ensemble
+    row = "{}," + _FMT + ",{:.0f}," + _FMT + "\n"
+    with open(path, "w") as fh:
+        _write_head(fh, _ensemble_meta(ensemble, meta), "path_id,t,type,size")
+        for pid, arr in enumerate(ensemble.jumps or ()):
+            table = np.asarray(arr).reshape(-1, 3).tolist()
+            fh.write("".join([row.format(pid, t, ty + 1, r) for t, ty, r in table]))
 
+
+def _read_csv(path: str):
+    """Metadata dict, column names and numeric rows of an artifact CSV."""
     meta = {}
     with open(path) as fh:
-        pos = fh.tell()
         line = fh.readline()
         while line.startswith("#"):
             key, _, val = line[1:].partition(":")
             meta[key.strip()] = val.strip()
-            pos = fh.tell()
             line = fh.readline()
         header = line.strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        start = fh.tell()
+        if not fh.readline():  # a jump log may have no rows
+            return meta, header, np.empty((0, len(header)))
+        fh.seek(start)
+        return meta, header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def read_paths_csv(path: str):
+    """Rebuild the Ensemble of a paths CSV; returns it with the metadata dict.
+
+    ``lam`` and ``phi`` come from the metadata block, and a paths CSV without
+    them is refused.  A ``jumps.csv`` beside it is read back as the jump log
+    (types 0-based again); one with another metadata block is refused.
+    """
+    from .sim.records import Ensemble
+
+    meta, header, data = _read_csv(path)
     d = len([h for h in header if h.startswith("mass_")])
-    pids = data[:, 0].astype(int)
-    n_paths = pids.max() + 1
+    try:
+        lam = float(meta["lambda"])
+        phi = np.array([float(v) for v in meta["phi"].split()])
+    except KeyError as exc:
+        raise SupermartError(f"{path}: metadata has no {exc} line") from None
+    except ValueError as exc:
+        raise SupermartError(f"{path}: bad lambda or phi in metadata: {exc}") from None
+    if len(phi) != d:
+        raise SupermartError(f"{path}: metadata phi has {len(phi)} entries for {d} types")
+    n_paths = int(data[-1, 0]) + 1  # rows come path by path
     n_times = len(data) // n_paths
     times = data[:n_times, 1]
     masses = data[:, 2 : 2 + d].reshape(n_paths, n_times, d)
     m = data[:, 2 + d].reshape(n_paths, n_times)
-    lam = float(meta.get("lambda", "nan"))
-    phi = np.array([float(v) for v in meta.get("phi", "").split()]) if meta.get("phi") else None
-    if phi is None or len(phi) != d:
-        phi = np.ones(d)
-    return Ensemble(times=times, M=m, masses=masses, lam=lam, phi=phi), meta
+    jumps = None
+    jumps_path = os.path.join(os.path.dirname(path), "jumps.csv")
+    if os.path.exists(jumps_path):
+        jmeta, _, log = _read_csv(jumps_path)
+        if jmeta != meta:
+            raise SupermartError(
+                f"{jumps_path} belongs to another run than {path} (metadata differs)"
+            )
+        cuts = np.searchsorted(log[:, 0], np.arange(n_paths + 1))
+        log = log[:, 1:] - np.array([0.0, 1.0, 0.0])
+        jumps = [log[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return Ensemble(times=times, M=m, masses=masses, lam=lam, phi=phi, jumps=jumps), meta
 
 
 def write_curves_csv(path: str, rows, meta: dict) -> None:
     """Per-path functional curves: ``path_id,kind,t,value``."""
     with open(path, "w") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        fh.write("path_id,kind,t,value\n")
+        _write_head(fh, meta, "path_id,kind,t,value")
         for pid, kind, t, v in rows:
             fh.write(f"{pid},{kind},{_FMT.format(t)},{_FMT.format(v)}\n")
 

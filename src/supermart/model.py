@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "kernel_tail",
     "kernel_partial_moment",
     "phi_tail",
-    "phi_partial_moment",
     "sample_large_jump",
     "model_to_json",
     "model_from_json",
@@ -140,6 +140,40 @@ class StablePowerLaw:
         """``integral (r wedge r^2) pi(dr)``, the boundedness functional."""
         return self.gamma * (1.0 / (2.0 - self.alpha) + 1.0 / (self.alpha - 1.0))
 
+    def scaled(self, factor: float) -> "StablePowerLaw":
+        """The same jump sizes at ``factor`` times the rate."""
+        return StablePowerLaw(gamma=self.gamma * factor, alpha=self.alpha)
+
+    # Integrals over the phi-rescaled kernel ``pi^phi``, the image of ``pi``
+    # under ``r -> phi_i r``: density ``gamma phi_i**alpha r**(-1-alpha)``.
+
+    def llogl(self, phi_i: float) -> float:
+        """``integral_1^inf r log r pi^phi(dr)``."""
+        return self.gamma * phi_i**self.alpha / (self.alpha - 1.0) ** 2
+
+    def p_moment(self, phi_i: float, p: float) -> float:
+        """``integral_1^inf r**p pi^phi(dr)``; ``inf`` for ``p >= alpha``."""
+        if self.gamma == 0.0:
+            return 0.0
+        if p >= self.alpha:
+            return math.inf
+        return self.gamma * phi_i**self.alpha / (self.alpha - p)
+
+    def log_moment(self, phi_i: float, g: float) -> float:
+        """``integral_1^inf r (log r)**(g+1) pi^phi(dr)``."""
+        a = self.alpha
+        return self.gamma * phi_i**a * math.gamma(g + 2.0) / (a - 1.0) ** (g + 2.0)
+
+    def first_moment_tail(self, phi_i: float, t: float) -> float:
+        """``integral_t^inf r pi^phi(dr)``."""
+        a = self.alpha
+        return self.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0)
+
+    def excess_log_tail(self, phi_i: float, t: float) -> float:
+        """``integral_t^inf r (log r - log t) pi^phi(dr)``."""
+        a = self.alpha
+        return self.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0) ** 2
+
     def sample_tail(self, eps: float, rng: np.random.Generator) -> float:
         """One draw from ``pi`` restricted to ``(eps, inf)``, normalized."""
         u = rng.random()
@@ -179,41 +213,55 @@ class AtomList:
     def rmin_r2(self) -> float:
         return sum(w * min(r, r * r) for r, w in self.atoms)
 
+    def scaled(self, factor: float) -> "AtomList":
+        """The same jump sizes at ``factor`` times the rate."""
+        return AtomList(atoms=tuple((r, w * factor) for r, w in self.atoms))
+
+    def _above(self, phi_i: float, t: float):
+        """``(r phi_i, w)`` for the atoms of ``pi^phi`` above ``t``."""
+        return [(r * phi_i, w) for r, w in self.atoms if r * phi_i > t]
+
+    def llogl(self, phi_i: float) -> float:
+        return sum(w * y * math.log(y) for y, w in self._above(phi_i, 1.0))
+
+    def p_moment(self, phi_i: float, p: float) -> float:
+        return sum(w * y**p for y, w in self._above(phi_i, 1.0))
+
+    def log_moment(self, phi_i: float, g: float) -> float:
+        return sum(w * y * math.log(y) ** (g + 1.0) for y, w in self._above(phi_i, 1.0))
+
+    def first_moment_tail(self, phi_i: float, t: float) -> float:
+        return sum(w * y for y, w in self._above(phi_i, t))
+
+    def excess_log_tail(self, phi_i: float, t: float) -> float:
+        return sum(w * y * (math.log(y) - math.log(t)) for y, w in self._above(phi_i, t))
+
+    def _inverse_cdf(self, eps: float, u, size_biased: bool = False):
+        """Atom picked by uniform(s) ``u`` from ``pi`` (or ``r pi``) above ``eps``."""
+        rs, cum = _atom_table(self.atoms, eps, size_biased)
+        return rs[np.minimum(np.searchsorted(cum, u * cum[-1], side="left"), len(rs) - 1)]
+
     def sample_tail(self, eps: float, rng: np.random.Generator) -> float:
-        live = [(r, w) for r, w in self.atoms if r > eps]
-        total = sum(w for _, w in live)
-        if total <= 0:
-            raise ModelValidationError(f"empty tail: no atoms above {eps}")
-        u = rng.random() * total
-        acc = 0.0
-        for r, w in live:
-            acc += w
-            if u <= acc:
-                return r
-        return live[-1][0]
+        return float(self._inverse_cdf(eps, rng.random()))
 
     def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        live = [(r, w) for r, w in self.atoms if r > eps]
-        total = sum(w for _, w in live)
-        if total <= 0:
-            raise ModelValidationError(f"empty tail: no atoms above {eps}")
-        rs = np.array([r for r, _ in live])
-        cum = np.cumsum([w for _, w in live])
-        idx = np.searchsorted(cum, rng.random(n) * total, side="left")
-        return rs[np.minimum(idx, len(rs) - 1)]
+        return self._inverse_cdf(eps, rng.random(n))
 
     def sample_size_biased_tail(self, eps: float, rng: np.random.Generator) -> float:
-        live = [(r, w * r) for r, w in self.atoms if r > eps]
-        total = sum(w for _, w in live)
-        if total <= 0:
-            raise ModelValidationError(f"empty tail: no atoms above {eps}")
-        u = rng.random() * total
-        acc = 0.0
-        for r, w in live:
-            acc += w
-            if u <= acc:
-                return r
-        return live[-1][0]
+        return float(self._inverse_cdf(eps, rng.random(), size_biased=True))
+
+
+@lru_cache(maxsize=64)
+def _atom_table(atoms: tuple, eps: float, size_biased: bool):
+    """Sizes and cumulative weights of the atoms above ``eps`` (read-only)."""
+    live = [(r, w * r if size_biased else w) for r, w in atoms if r > eps]
+    if not live:
+        raise ModelValidationError(f"empty tail: no atoms above {eps}")
+    rs = np.array([r for r, _ in live])
+    cum = np.cumsum([w for _, w in live])
+    rs.setflags(write=False)
+    cum.setflags(write=False)
+    return rs, cum
 
 
 JumpKernel = StablePowerLaw | AtomList
@@ -384,16 +432,6 @@ def phi_tail(model: Model, eig, i: int, t: float) -> float:
     if p <= 0:
         raise ValueError("phi must be strictly positive")
     return model.mech.kernels[i].tail(t / p)
-
-
-def phi_partial_moment(model: Model, eig, i: int, k: float, lo: float, hi: float) -> float:
-    """``integral_lo^hi r**k pi_i^phi(dr)`` via the exact substitution r -> r*phi_i."""
-    p = float(eig.phi[i])
-    hi_s = hi / p if hi != math.inf else math.inf
-    base = model.mech.kernels[i].partial_moment(k, lo / p, hi_s)
-    if not math.isfinite(base):
-        return base
-    return p**k * base
 
 
 def sample_large_jump(model: Model, i: int, threshold: float, rng: np.random.Generator) -> float:

@@ -64,9 +64,8 @@ class RateFit:
 def _live_M(ensemble):
     """M matrix with overflow-flagged paths dropped."""
     m = np.asarray(ensemble.M, dtype=float)
-    flagged = getattr(ensemble, "flagged", None)
-    if flagged is not None and np.any(flagged):
-        m = m[~np.asarray(flagged)]
+    if ensemble.flagged is not None and np.any(ensemble.flagged):
+        m = m[~ensemble.flagged]
     return m
 
 

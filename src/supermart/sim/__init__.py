@@ -1,7 +1,7 @@
 """Path generation: Galton-Watson, multitype CSBP, and the spine sampler."""
 
 from .records import Ensemble, PathRecord, SimConfig, SpineConfig, estimate_Minfty
-from .gw import GWEnsemble, simulate_gw
+from .gw import simulate_gw
 from .csbp import auto_epsilon, simulate_csbp
 from .spine import SpineResult, simulate_spine, tilted_generator
 
@@ -11,7 +11,6 @@ __all__ = [
     "PathRecord",
     "Ensemble",
     "estimate_Minfty",
-    "GWEnsemble",
     "simulate_gw",
     "simulate_csbp",
     "auto_epsilon",

@@ -11,51 +11,20 @@ rejection against a uniform proposal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as _hzeta
 
 from ..model import GWModel
-from .records import path_streams
+from .records import Ensemble, path_streams
 
-__all__ = ["GWEnsemble", "simulate_gw"]
+__all__ = ["simulate_gw"]
 
 _INT_CAP = 2**63 - 1
 _DIRECT_LIMIT = 8192  # below this, draw offspring individually
 _BLOCK_CAP = 2**62
-
-
-@dataclass
-class GWEnsemble:
-    """Normalized population trajectories ``W_k = Z_k / m^k``."""
-
-    W: np.ndarray  # (paths, n_generations + 1)
-    flagged: np.ndarray  # overflow-capped paths, excluded from estimates
-    mean: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.W.shape[1], dtype=float)
-
-    # Ensemble protocol used by the rates module: M plays the role of the
-    # martingale, the horizon is the last generation.
-    @property
-    def M(self) -> np.ndarray:
-        return self.W
-
-    @property
-    def lam(self) -> float:
-        return math.log(self.mean)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.W.shape[1] - 1)
+_BATCH = 2**19  # most accepted draws one rejection round asks for (it proposes twice that)
 
 
 @lru_cache(maxsize=32)
@@ -77,18 +46,24 @@ def _zeta_plan(alpha: float, head: int):
     return ks.astype(np.int64), blocks, pvals
 
 
-def _sample_block(lo: int, hi: int, n: int, s: float, rng: np.random.Generator) -> np.ndarray:
-    """n exact draws from pmf ~ k^-s restricted to [lo, hi], by rejection."""
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        m = max(16, 2 * (n - filled))
+def _block_sum(lo: int, hi: int, n: int, s: float, rng: np.random.Generator) -> int:
+    """Exact sum of n draws from pmf ~ k^-s restricted to [lo, hi], by rejection.
+
+    At most ``_BATCH`` draws are wanted per rejection round, so memory stays
+    bounded however large ``n`` grows; a block with ``n <= _BATCH`` draws
+    exactly what an unbatched sampler would.
+    """
+    total = 0
+    while n > 0:
+        want = min(n, _BATCH)
+        m = max(16, 2 * want)
         k = rng.integers(lo, hi + 1, size=m)
         accept = rng.random(m) < (k / lo) ** (-s)
-        k = k[accept][: n - filled]
-        out[filled : filled + len(k)] = k
-        filled += len(k)
-    return out
+        k = k[accept][:want]
+        # int64 sums are exact below the cap; beyond it, sum Python ints
+        total += int(k.sum()) if hi < _INT_CAP // m else int(k.astype(object).sum())
+        n -= len(k)
+    return total
 
 
 def _powerlaw_generation(n_parents: int, alpha: float, rng: np.random.Generator) -> int:
@@ -111,7 +86,7 @@ def _powerlaw_generation(n_parents: int, alpha: float, rng: np.random.Generator)
     s = 1.0 + alpha
     for (lo, hi, _), c in zip(blocks, counts[len(ks) :]):
         if c > 0:
-            total += int(_sample_block(lo, hi, int(c), s, rng).astype(object).sum())
+            total += _block_sum(lo, hi, int(c), s, rng)
     return total if 0 <= total <= _INT_CAP else _INT_CAP
 
 
@@ -122,8 +97,11 @@ def _bounded_generation(n_parents: int, pmf: np.ndarray, rng: np.random.Generato
     return int(np.dot(np.arange(len(pmf)), counts))
 
 
-def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> GWEnsemble:
-    """Per-path trajectories of ``W_k``, absorbing at 0, overflow-flagged.
+def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> Ensemble:
+    """Per-path trajectories of ``W_k = Z_k / m^k``, absorbing at 0, overflow-flagged.
+
+    The result is an ordinary one-type `Ensemble`: times ``0..generations``,
+    ``M = W``, masses ``W``, ``lam = log m`` and ``phi = 1``.
 
     Populations are capped at ``2**63 - 1``; a capped path is flagged and
     should be excluded from estimates.
@@ -150,4 +128,11 @@ def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> GWEnsem
                     flagged[pid] = True
                 z = z_next
             w[pid, gen] = z * norms[gen]
-    return GWEnsemble(W=w, flagged=flagged, mean=m)
+    return Ensemble(
+        times=np.arange(generations + 1, dtype=float),
+        M=w,
+        masses=w[..., None],
+        lam=math.log(m),
+        phi=np.ones(1),
+        flagged=flagged,
+    )

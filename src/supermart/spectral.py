@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import SpectralError
-from .model import Model, RateMatrix
+from .model import BranchingMechanism, Model, RateMatrix
 
 __all__ = [
     "Eigentriple",
@@ -218,19 +218,12 @@ def rescaled_model(model: Model, t_star: float) -> Model:
     Every rate in the model (motion, drift, diffusion coefficient, jump
     kernel weights) is multiplied by ``t_star``; jump sizes are unchanged.
     """
-    from .model import AtomList, BranchingMechanism, StablePowerLaw
-
-    def scale(kern):
-        if isinstance(kern, StablePowerLaw):
-            return StablePowerLaw(gamma=kern.gamma * t_star, alpha=kern.alpha)
-        return AtomList(atoms=tuple((r, w * t_star) for r, w in kern.atoms))
-
     return Model(
         space=model.space,
         motion=RateMatrix(q=model.motion.q * t_star),
         mech=BranchingMechanism(
             beta=model.mech.beta * t_star,
             alpha_diff=model.mech.alpha_diff * t_star,
-            kernels=tuple(scale(k) for k in model.mech.kernels),
+            kernels=tuple(k.scaled(t_star) for k in model.mech.kernels),
         ),
     )

@@ -228,7 +228,7 @@ def test_criterion_7_gw_theorem_A():
     gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
     ens = sm.simulate_gw(gw, 40, 100_000, seed=71)
     m = gw.mean()
-    w = ens.W[~ens.flagged]
+    w = ens.M[~ens.flagged]
     winf = w[:, -1]
     ns = np.arange(2, 21)
     l1 = np.array([np.abs(winf - w[:, n]).mean() for n in ns])

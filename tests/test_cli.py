@@ -234,3 +234,85 @@ class TestPathsRoundTrip:
         assert np.array_equal(back.M, ens.M)
         assert np.array_equal(back.masses, ens.masses)
         assert back.lam == eig.lam
+
+
+def _body(path):
+    """An artifact's lines below its ``# key: value`` metadata block."""
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+class TestPathsFileRoundTrip:
+    """Subcommands fed a run's paths.csv must see what the run saw."""
+
+    def test_functionals_reads_jump_log(self, workdir):
+        scn = scenario()
+        scn["sim"].update(paths=40, horizon=2.0, epsilon=0.5, log_jumps=True)
+        scn["analyses"]["functionals"] = {
+            "kinds": ["A", "Atilde", "C", "Ctilde"], "p": 2.0, "a_star": 2.0,
+            "gamma": 1.0, "max_paths": 40,
+        }
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        jumps = _body(workdir / "outdir" / "jumps.csv")
+        assert len(jumps) > 1, "scenario logged no jumps"
+        r = run_cli(
+            "functionals", "--paths", "outdir/paths.csv", "--kinds", "A", "Atilde", "C",
+            "Ctilde", "--p", "2", "--a-star", "2", "--gamma", "1", "--max-paths", "40",
+            cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        from_run = _body(workdir / "outdir" / "functionals.csv")
+        from_cmd = _body(workdir / "functionals.csv")
+        assert from_cmd == from_run
+
+        # a jump log from another run is refused, not mixed in
+        jumps_csv = workdir / "outdir" / "jumps.csv"
+        jumps_csv.write_text(jumps_csv.read_text().replace("# seed: 11", "# seed: 12"))
+        r = run_cli("functionals", "--paths", "outdir/paths.csv", cwd=workdir)
+        assert r.returncode == 2
+        assert "jumps.csv" in r.stderr
+
+    def test_rates_on_gw_paths_uses_log_mean(self, workdir):
+        import math
+
+        ps = [1.2, 1.8, 2.0]
+        scn = {
+            "model": {"kind": "gw", "pmf": [0.25, 0.0, 0.75]},
+            "kind": "gw",
+            "master_seed": 9,
+            "gw": {"generations": 16},
+            "sim": {"paths": 400},
+            "analyses": {"criteria": {"p": ps}, "rates": {"p": ps}},
+            "out": "gwout",
+        }
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        args = ["rates", "--paths", "gwout/paths.csv", "--criteria", "gwout/criteria.json"]
+        for p in ps:
+            args += ["--p", str(p)]
+        r = run_cli(*args, cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((workdir / "rates.json").read_text())
+        run_checks = json.loads((workdir / "gwout" / "rates.json").read_text())["checks"]
+        assert len(doc["fits"]) == len(ps)
+        for fit in doc["fits"]:
+            q = fit["p"] / (fit["p"] - 1.0)
+            assert fit["predicted"] == pytest.approx(-math.log(1.5) / q, rel=1e-12)
+        for p in ps:
+            key = f"as_rate_p{p:g}"
+            assert doc["checks"][key]["verdict"] == run_checks[key]["verdict"]
+
+    def test_paths_without_lambda_exit_2(self, workdir):
+        r = run_cli(
+            "simulate", "csbp", "--model", "model.json", "--paths", "5", "--seed", "3",
+            "--dt", "0.01", "--horizon", "1.0", "--out", "simout", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        paths_csv = workdir / "simout" / "paths.csv"
+        lines = paths_csv.read_text().splitlines(keepends=True)
+        paths_csv.write_text("".join(l for l in lines if not l.startswith("# lambda:")))
+        r = run_cli("rates", "--paths", "simout/paths.csv", "--p", "1.2", cwd=workdir)
+        assert r.returncode == 2
+        assert "lambda" in r.stderr

@@ -232,6 +232,30 @@ class TestSampleLargeJump:
         assert abs(frac2 - 0.75) <= 3 * sigma
         assert set(np.unique(draws)) == {2.0, 5.0}
 
+    def test_atom_draws_match_sequential_reference(self):
+        kern = AtomList(atoms=((0.5, 0.8), (2.0, 0.3), (3.0, 0.1), (7.0, 0.05)))
+
+        def reference(eps, u, size_biased):
+            # first atom whose running weight reaches u * total
+            live = [(r, w * r if size_biased else w) for r, w in kern.atoms if r > eps]
+            u = u * sum(w for _, w in live)
+            acc = 0.0
+            for r, w in live:
+                acc += w
+                if u <= acc:
+                    return r
+            return live[-1][0]
+
+        for eps in (0.25, 1.0, 2.5):
+            u = np.random.Generator(np.random.PCG64(3)).random(400)
+            rng = np.random.Generator(np.random.PCG64(3))
+            got = [kern.sample_tail(eps, rng) for _ in range(200)]
+            got += kern.sample_tail_many(eps, 200, rng).tolist()
+            assert got == [reference(eps, v, False) for v in u]
+            rng = np.random.Generator(np.random.PCG64(3))
+            got = [kern.sample_size_biased_tail(eps, rng) for _ in range(400)]
+            assert got == [reference(eps, v, True) for v in u]
+
     def test_empty_tail_raises(self):
         m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
         with pytest.raises(ModelValidationError, match="empty tail"):

@@ -11,14 +11,14 @@ from supermart.sim.gw import _powerlaw_generation
 class TestBoundedOffspring:
     def test_deterministic_doubling(self):
         ens = sm.simulate_gw(sm.GWModel(pmf=(0.0, 0.0, 1.0)), 12, 30, seed=1)
-        assert np.all(ens.W == 1.0)
+        assert np.all(ens.M == 1.0)
         assert not ens.flagged.any()
 
     def test_martingale_mean_within_4_sigma(self):
         gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
         ens = sm.simulate_gw(gw, 20, 20_000, seed=2)
         for n in (5, 10, 20):
-            w = ens.W[:, n]
+            w = ens.M[:, n]
             z = (w.mean() - 1.0) / (w.std(ddof=1) / math.sqrt(len(w)))
             assert abs(z) <= 4.0
 
@@ -26,14 +26,14 @@ class TestBoundedOffspring:
         # smallest root of (1/4) + (3/4) s^2 = s is s = 1/3
         gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
         ens = sm.simulate_gw(gw, 40, 20_000, seed=3)
-        ext = float(np.mean(ens.W[:, -1] == 0.0))
+        ext = float(np.mean(ens.M[:, -1] == 0.0))
         sigma = math.sqrt((1 / 3) * (2 / 3) / ens.n_paths)
         assert abs(ext - 1.0 / 3.0) <= 3 * sigma
 
     def test_absorbing_at_zero(self):
         gw = sm.GWModel(pmf=(0.6, 0.0, 0.0, 0.4))  # mean 1.2
         ens = sm.simulate_gw(gw, 30, 500, seed=4)
-        for row in ens.W:
+        for row in ens.M:
             dead = np.nonzero(row == 0.0)[0]
             if dead.size:
                 assert np.all(row[dead[0] :] == 0.0)
@@ -43,7 +43,7 @@ class TestBoundedOffspring:
         gw = sm.GWModel(pmf=(0.0,) * 8 + (1.0,))
         ens = sm.simulate_gw(gw, 25, 8, seed=5)
         assert ens.flagged.all()
-        assert np.all(ens.W <= 1.0 + 1e-12)
+        assert np.all(ens.M <= 1.0 + 1e-12)
 
 
 class TestPowerLawOffspring:
@@ -77,11 +77,36 @@ class TestPowerLawOffspring:
         total = _powerlaw_generation(100, 1.3, rng)
         assert total >= 100  # offspring counts are >= 1
 
+    def test_block_sum_matches_unbatched_reference(self, monkeypatch):
+        import supermart.sim.gw as gwmod
+
+        def reference(lo, hi, n, s, rng):
+            # every accepted draw kept, then summed as Python ints
+            out = []
+            while len(out) < n:
+                m = max(16, 2 * (n - len(out)))
+                k = rng.integers(lo, hi + 1, size=m)
+                accept = rng.random(m) < (k / lo) ** (-s)
+                out.extend(int(v) for v in k[accept][: n - len(out)])
+            return sum(out)
+
+        # the second block overflows int64 when summed
+        for lo, hi, n in ((4097, 8192, 3000), (2**60 + 1, 2**61, 40)):
+            got = gwmod._block_sum(lo, hi, n, 2.3, np.random.Generator(np.random.PCG64(1)))
+            want = reference(lo, hi, n, 2.3, np.random.Generator(np.random.PCG64(1)))
+            assert got == want
+        # a block larger than a batch still sums exactly n draws
+        monkeypatch.setattr(gwmod, "_BATCH", 64)
+        rng = np.random.Generator(np.random.PCG64(2))
+        assert gwmod._block_sum(5, 5, 1000, 2.3, rng) == 5000
+        total = gwmod._block_sum(4097, 8192, 1000, 2.3, rng)
+        assert 1000 * 4097 <= total <= 1000 * 8192
+
     def test_trajectories_run(self):
         gw = sm.GWModel(alpha=1.3)
         ens = sm.simulate_gw(gw, 12, 200, seed=6)
-        assert ens.W.shape == (200, 13)
-        w6 = ens.W[:, 6]
+        assert ens.M.shape == (200, 13)
+        w6 = ens.M[:, 6]
         z = (w6.mean() - 1.0) / (w6.std(ddof=1) / math.sqrt(len(w6)))
         # heavy-tailed self-normalized statistic: loose sanity band
         assert abs(z) <= 6.0
@@ -92,10 +117,10 @@ class TestDeterminism:
         gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
         a = sm.simulate_gw(gw, 15, 300, seed=42)
         b = sm.simulate_gw(gw, 15, 300, seed=42)
-        assert np.array_equal(a.W, b.W)
+        assert np.array_equal(a.M, b.M)
 
     def test_different_seeds_differ(self):
         gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
         a = sm.simulate_gw(gw, 15, 300, seed=42)
         b = sm.simulate_gw(gw, 15, 300, seed=43)
-        assert not np.array_equal(a.W, b.W)
+        assert not np.array_equal(a.M, b.M)
