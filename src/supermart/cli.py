@@ -107,6 +107,11 @@ SCENARIO_SCHEMA = {
     },
 }
 
+_THREADS_HELP = (
+    "engine threads; output is byte-identical for any count, and as the path chunks "
+    "are GIL-bound, 2 threads measured slower than 1 on 2 cores"
+)
+
 EXIT_SCHEMA = 1
 EXIT_MODEL = 2
 EXIT_NUMERIC = 3
@@ -137,6 +142,14 @@ def _meta(seed, cfg_obj):
         "config_hash": config_hash(cfg_obj),
         "seed": seed,
     }
+
+
+def _require_kind(what: str, kind: str, gw) -> None:
+    """Exit 2 when ``what``, which runs a ``kind`` model, is given the other kind."""
+    wants_gw = kind == "gw"
+    if wants_gw != (gw is not None):
+        need, got = ("a Galton-Watson", "a CSBP") if wants_gw else ("a CSBP", "a Galton-Watson")
+        _fail(EXIT_MODEL, f"{what} needs {need} model, but the model is {got} model")
 
 
 def _require_valid(model):
@@ -326,7 +339,8 @@ def _summary(preds, fits, checks) -> dict:
 
 
 def cmd_eigen(args):
-    model, _ = _resolve_model(args.model)
+    model, gw = _resolve_model(args.model)
+    _require_kind("eigen", "csbp", gw)
     eig = _require_valid(model)
     out = args.out or "eigen.json"
     write_json(out, _eigen_payload(model, eig, args.target), _meta(None, model_to_json(model)))
@@ -362,6 +376,7 @@ def cmd_simulate(args):
         },
     }
     model, gw = _resolve_model(args.model)
+    _require_kind(f"simulate {args.kind}", args.kind, gw)
     eig = _require_valid(model) if model is not None else None
     ens = _simulate(scn, model, gw, eig, args.threads)
     print(_write_ensemble(ensure_dir(args.out or "."), ens, _meta(args.seed, scn)))
@@ -417,6 +432,7 @@ def cmd_run(args):
         model, gw = _resolve_model(scn["model"])
     except (SupermartError, KeyError, json.JSONDecodeError) as exc:
         _fail(EXIT_SCHEMA, f"bad model spec: {exc}")
+    _require_kind(f"kind {scn['kind']!r}", scn["kind"], gw)
 
     analyses = scn.get("analyses", {})
     eig = None
@@ -495,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.005)
     p.add_argument("--horizon", type=float, default=4.0)
     p.add_argument("--record-stride", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -521,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full scenario: simulate + analyze + summarize")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help=_THREADS_HELP + "; default $SUPERMART_THREADS or 1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 

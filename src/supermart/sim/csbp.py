@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 from scipy import linalg
+from scipy.special import pdtr, pdtrik
 
 from ..model import Model
 from ..spectral import Eigentriple, generator_matrix
@@ -71,8 +72,22 @@ def auto_epsilon(
     return eps
 
 
+def _poisson_quantile(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Poisson inverse CDF by ``scipy.stats.poisson``'s own quantile formula.
+
+    ``ceil(pdtrik(u, mu))``, stepped down by one where the CDF one below
+    already reaches ``u``: the values ``poisson.ppf`` gives for ``u`` in
+    (0, 1) without its per-call wrapper cost.  ``u == 0`` gives 0, the
+    smallest count, where ``ppf`` gives -1.
+    """
+    k = np.ceil(pdtrik(u, mu))
+    below = np.maximum(k - 1.0, 0.0)
+    k = np.where(pdtr(below, mu) >= u, below, k)
+    return np.where(u > 0.0, k, 0.0).astype(np.int64)
+
+
 def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Poisson inverse CDF, vectorized for small means with a ppf fallback."""
+    """Poisson inverse CDF, vectorized for small means with a quantile fallback."""
     out = np.zeros(u.shape, dtype=np.int64)
     big = mu > _POIS_VECTOR_CAP
     small = ~big & (mu > 0)
@@ -91,14 +106,10 @@ def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
             res[active & (us <= cdf)] = k
             active &= us > cdf
         if active.any():  # u in the far numerical tail
-            from scipy.stats import poisson
-
-            res[active] = poisson.ppf(us[active], ms[active]).astype(np.int64)
+            res[active] = _poisson_quantile(us[active], ms[active])
         out[small] = res
     if big.any():
-        from scipy.stats import poisson
-
-        out[big] = poisson.ppf(u[big], mu[big]).astype(np.int64)
+        out[big] = _poisson_quantile(u[big], mu[big])
     return out
 
 
@@ -182,14 +193,14 @@ def simulate_csbp(
 
     def run_chunk(pids):
         c = len(pids)
-        streams = [path_streams(cfg.master_seed, pid) for pid in pids]
+        streams = path_streams(cfg.master_seed, pids)
         extra = immigration.extra_uniform_planes if immigration is not None else 0
         n_planes = n_jump_planes + d + extra
         g = np.empty((c, n_steps, d))
         u = np.empty((c, n_steps, n_planes))
-        for j, st in enumerate(streams):
-            g[j] = st["gauss"].standard_normal((n_steps, d))
-            u[j] = st["counts"].random((n_steps, n_planes))
+        for j in range(c):  # each drawn from once: not kept
+            g[j] = streams.fresh(j, "gauss").standard_normal((n_steps, d))
+            u[j] = streams.fresh(j, "counts").random((n_steps, n_planes))
         imm_ctx = immigration.prepare_chunk(pids, streams) if immigration is not None else None
 
         x = np.tile(x0, (c, 1))
@@ -212,7 +223,7 @@ def simulate_csbp(
             if bad.any():
                 for j in np.nonzero(bad.any(axis=1))[0]:
                     y = x[j]
-                    rng = streams[j]["reject"]
+                    rng = streams[j, "reject"]
                     for _ in range(2):
                         y = y @ prop_half - y * (0.5 * m1_h)
                         y = y + np.sqrt(0.5 * diff_h * y) * rng.standard_normal(d)
@@ -236,7 +247,7 @@ def simulate_csbp(
                 clip_acc[rows] -= np.where(small_s, np.minimum(det_s, 0.0), 0.0).sum(axis=1)
                 for jj, i in zip(*np.nonzero(n_exp)):
                     j = rows[jj]
-                    xn_s[jj, i] = streams[j]["reject"].gamma(
+                    xn_s[jj, i] = streams[j, "reject"].gamma(
                         n_exp[jj, i], var_s[jj, i] / (2.0 * det_s[jj, i])
                     )
                 x_new[rows] = xn_s
@@ -247,7 +258,7 @@ def simulate_csbp(
                     t_left = k * h
                     for j, i in zip(*np.nonzero(counts)):
                         n = int(counts[j, i])
-                        rng = streams[j]["sizes"]
+                        rng = streams[j, "sizes"]
                         sizes = kernels[i].sample_tail_many(eps, n, rng)
                         x_new[j, i] += sizes.sum()
                         if cfg.log_jumps:

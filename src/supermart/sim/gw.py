@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import zeta as _hzeta
 
 from ..model import GWModel
-from .records import Ensemble, path_streams
+from .records import CHUNK_PATHS, Ensemble, path_streams
 
 __all__ = ["simulate_gw"]
 
@@ -113,21 +113,24 @@ def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> Ensembl
     w = np.empty((paths, generations + 1))
     flagged = np.zeros(paths, dtype=bool)
     norms = m ** -np.arange(generations + 1, dtype=float)
-    for pid in range(paths):
-        rng = path_streams(seed, pid)["counts"]
-        z = 1
-        w[pid, 0] = 1.0
-        for gen in range(1, generations + 1):
-            if z > 0:
-                if pmf is not None:
-                    z_next = _bounded_generation(z, pmf, rng)
-                else:
-                    z_next = _powerlaw_generation(z, gw.alpha, rng)
-                if z_next >= _INT_CAP:
-                    z_next = _INT_CAP
-                    flagged[pid] = True
-                z = z_next
-            w[pid, gen] = z * norms[gen]
+    for start in range(0, paths, CHUNK_PATHS):
+        pids = range(start, min(start + CHUNK_PATHS, paths))
+        streams = path_streams(seed, pids)
+        for j, pid in enumerate(pids):
+            rng = streams.fresh(j, "counts")  # not kept: one generator alive at a time
+            z = 1
+            w[pid, 0] = 1.0
+            for gen in range(1, generations + 1):
+                if z > 0:
+                    if pmf is not None:
+                        z_next = _bounded_generation(z, pmf, rng)
+                    else:
+                        z_next = _powerlaw_generation(z, gw.alpha, rng)
+                    if z_next >= _INT_CAP:
+                        z_next = _INT_CAP
+                        flagged[pid] = True
+                    z = z_next
+                w[pid, gen] = z * norms[gen]
     return Ensemble(
         times=np.arange(generations + 1, dtype=float),
         M=w,

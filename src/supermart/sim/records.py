@@ -5,6 +5,20 @@ Reproducibility contract: every path owns private RNG streams derived from
 event counts, event sizes, step-rejection redraws, spine motion).  Draw
 order within each stream is fixed by the engine, so results are bit-identical
 for any path-chunking or thread count.
+
+The stream of role ``r`` is the ``PCG64`` that
+``SeedSequence(entropy=[master_seed, path_id], spawn_key=(r,))`` seeds, but
+its seed words are computed for a whole chunk of paths at once: building a
+`SeedSequence` per path and role costs about 25 microseconds of Python-level
+entropy coercion and hashing, ten times what building the generator from
+its words costs.  `_stream_seed_words` replays numpy's stream-stable seeding
+hash (the ``hashmix``/``mix`` rounds of ``SeedSequence.mix_entropy`` over
+the uint32 entropy ``[master words..., path word, zero pad to 4, role]``,
+then ``generate_state(4, uint64)``) on uint32 arrays with one row per path.
+The entropy, the constants and the order of the rounds are numpy's, so the
+words are the ones `SeedSequence` would hand to ``PCG64``; each generator
+takes them through `_SeedWords` and draws exactly what the `SeedSequence`
+construction draws.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "SimConfig",
@@ -28,35 +43,134 @@ __all__ = [
 CHUNK_PATHS = 4096
 
 _STREAM_ROLES = ("gauss", "counts", "sizes", "reject", "spine")
+_ROLE_INDEX = {role: i for i, role in enumerate(_STREAM_ROLES)}
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _uint32_words(n: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence coerces it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+class _HashMix:
+    """``hashmix`` with its running hash constant, over uint32 arrays."""
+
+    def __init__(self, init: int, mult: int):
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _entropy_seed_words(entropy: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of every stream role, one row of entropy per path.
+
+    ``entropy`` is ``(paths, L)`` uint32 (master then path words); the role
+    word comes after a zero pad to the pool size.  Returns
+    ``(paths, roles, 4)`` uint64.
+    """
+    if entropy.shape[1] < _POOL_SIZE:
+        pad = np.zeros((len(entropy), _POOL_SIZE - entropy.shape[1]), dtype=np.uint32)
+        entropy = np.concatenate([entropy, pad], axis=1)
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, entropy.shape[1]):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(entropy[:, i_src]))
+    # the role (spawn key) is the last entropy word: one column per role
+    roles = np.arange(len(_STREAM_ROLES), dtype=np.uint32)[None, :]
+    for i_dst in range(_POOL_SIZE):
+        pool[i_dst] = _mix(pool[i_dst][:, None], hashmix(roles))
+    # generate_state(4, uint64): eight uint32 words cycling over the pool
+    hashmix = _HashMix(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack([state[2 * i] | (state[2 * i + 1] << 32) for i in range(4)], axis=-1)
+
+
+def _stream_seed_words(master_seed: int, path_ids) -> np.ndarray:
+    """``(paths, roles, 4)`` uint64 seed words of every path's streams."""
+    master = _uint32_words(int(master_seed))
+    pids = np.asarray(path_ids, dtype=np.int64)
+    if ((pids < 0) | (pids > _MASK32)).any():
+        raise ValueError("path ids must lie in [0, 2**32)")
+    cols = [np.full(len(pids), w, dtype=np.uint32) for w in master]
+    return _entropy_seed_words(np.stack(cols + [pids.astype(np.uint32)], axis=1))
+
+
+class _SeedWords(ISeedSequence):
+    """Hands precomputed PCG64 seed words to the bit generator."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words serve PCG64 only")
+        return self._words
 
 
 class PathStreams:
-    """Independent named generators for one path, constructed on first use.
+    """Named generators for a block of paths, seeded for the whole block at once.
 
-    Each role maps to a fixed spawn key of ``SeedSequence([master, path])``,
-    so which roles a run touches (and in what order) never changes the draws
-    of any other role, and unused roles cost nothing.
+    ``streams[j, role]`` is path ``path_ids[j]``'s generator for ``role``,
+    built on first use and kept; `fresh` builds one that is not kept, for
+    roles drawn from only once.  Each role maps to a fixed spawn key of
+    ``SeedSequence([master, path])``, so which roles a run touches (and in
+    what order) never changes the draws of any other role.
     """
 
-    __slots__ = ("_entropy", "_gens")
+    __slots__ = ("_words", "_gens")
 
-    def __init__(self, master_seed: int, path_id: int):
-        self._entropy = (int(master_seed), int(path_id))
+    def __init__(self, master_seed: int, path_ids):
+        self._words = _stream_seed_words(master_seed, path_ids)
         self._gens = {}
 
-    def __getitem__(self, role: str) -> np.random.Generator:
-        gen = self._gens.get(role)
+    def __getitem__(self, key) -> np.random.Generator:
+        gen = self._gens.get(key)
         if gen is None:
-            idx = _STREAM_ROLES.index(role)
-            child = np.random.SeedSequence(entropy=list(self._entropy), spawn_key=(idx,))
-            gen = np.random.Generator(np.random.PCG64(child))
-            self._gens[role] = gen
+            gen = self._gens[key] = self.fresh(*key)
         return gen
 
+    def fresh(self, j: int, role: str) -> np.random.Generator:
+        words = self._words[j, _ROLE_INDEX[role]]
+        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
-def path_streams(master_seed: int, path_id: int) -> PathStreams:
-    """Named per-path generators (lazy)."""
-    return PathStreams(master_seed, path_id)
+
+def path_streams(master_seed: int, path_ids) -> PathStreams:
+    """Named generators (lazy) for the paths ``path_ids``."""
+    return PathStreams(master_seed, path_ids)
 
 
 @dataclass(frozen=True)

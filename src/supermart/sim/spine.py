@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,19 @@ class _SpineImmigration:
         self.cfg = cfg
         self.d = model.d
         self.n_steps = cfg.n_steps
-        self.tilted = tilted_generator(model, eig).q
+        tilted = tilted_generator(model, eig).q
         init_w = eig.phi * x0
         if init_w.sum() <= 0:
             raise ModelValidationError("spine needs <phi, x0> > 0")
-        self.init_cdf = np.cumsum(init_w / init_w.sum())
+        self.init_cdf = np.cumsum(init_w / init_w.sum()).tolist()
+        # per state: mean holding time and jump CDF, None where it absorbs
+        rates = -np.diag(tilted)
+        off = tilted.copy()
+        np.fill_diagonal(off, 0.0)
+        self.exit_scale = [1.0 / r if r > 0 else None for r in rates]
+        self.jump_cdf = [
+            np.cumsum(w / w.sum()).tolist() if r > 0 else None for w, r in zip(off, rates)
+        ]
         self.disc_rate = np.array(
             [k.partial_moment(1.0, cfg.delta_floor, math.inf) for k in model.mech.kernels]
         )
@@ -83,29 +92,27 @@ class _SpineImmigration:
         """Type index at the start of each step, via the embedded chain."""
         h = self.cfg.dt
         horizon = self.cfg.horizon
-        state = int(np.searchsorted(self.init_cdf, rng.random()))
+        state = bisect_left(self.init_cdf, rng.random())
         out = np.empty(self.n_steps, dtype=np.int8)
         t = 0.0
         pos = 0
         while t < horizon and pos < self.n_steps:
-            rate = -self.tilted[state, state]
-            if rate <= 0:
+            scale = self.exit_scale[state]
+            if scale is None:
                 out[pos:] = state
                 break
-            stay = rng.exponential(1.0 / rate)
+            stay = rng.exponential(scale)
             until = min(self.n_steps, int(math.ceil((t + stay) / h - 1e-12)))
             out[pos:until] = state
             pos = until
             t += stay
-            w = self.tilted[state].copy()
-            w[state] = 0.0
-            state = int(np.searchsorted(np.cumsum(w / w.sum()), rng.random()))
+            state = bisect_left(self.jump_cdf[state], rng.random())
         return out
 
     def prepare_chunk(self, pids, streams):
         types = np.empty((len(pids), self.n_steps), dtype=np.int8)
-        for j, st in enumerate(streams):
-            types[j] = self._simulate_spine_path(st["spine"])
+        for j in range(len(pids)):
+            types[j] = self._simulate_spine_path(streams.fresh(j, "spine"))
         occ = np.stack([(types == i).mean(axis=1) for i in range(self.d)], axis=1)
         self.occupation_chunks[pids.start] = occ
         return types
@@ -127,7 +134,7 @@ class _SpineImmigration:
         disc_counts = _poisson_counts(u_extra[:, 1], self.disc_rate[xi] * h)
         for j in np.nonzero(disc_counts)[0]:
             kern = self.model.mech.kernels[xi[j]]
-            rng = streams[j]["sizes"]
+            rng = streams[j, "sizes"]
             tot = sum(
                 kern.sample_size_biased_tail(cfg.delta_floor, rng)
                 for _ in range(int(disc_counts[j]))

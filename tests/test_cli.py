@@ -15,6 +15,8 @@ BASE_MODEL = {
     "kernels": [{"kind": "stable", "gamma": 0.5, "alpha": 1.5}],
 }
 
+GW_MODEL = {"kind": "gw", "pmf": [0.25, 0.0, 0.75]}
+
 
 def run_cli(*args, cwd, env=None):
     return subprocess.run(
@@ -56,6 +58,14 @@ class TestSubcommands:
         doc = json.loads((workdir / "eigen.json").read_text())
         assert {"lambda", "phi", "nu", "gap", "c_curve"} <= set(doc)
         assert doc["lambda"] == pytest.approx(1.0)
+
+    def test_eigen_refuses_gw_model_exit_2(self, workdir):
+        (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
+        r = run_cli("eigen", "--model", "gw.json", cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "eigen needs a CSBP model, but the model is a Galton-Watson model" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "eigen.json").exists()
 
     def test_criteria_flags(self, workdir):
         r = run_cli(
@@ -178,6 +188,23 @@ class TestRun:
         r = run_cli("run", "--config", "scn.json", cwd=workdir)
         assert r.returncode == 3
         assert "flagged" in r.stderr
+
+    def test_csbp_kind_with_gw_model_exit_2(self, workdir):
+        scn = scenario(model=GW_MODEL)
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "kind 'csbp' needs a CSBP model" in r.stderr
+        assert "Galton-Watson" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_gw_kind_with_csbp_model_exit_2(self, workdir):
+        scn = scenario(kind="gw", gw={"generations": 5})
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "kind 'gw' needs a Galton-Watson model, but the model is a CSBP model" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_reproducible_across_threads_and_reruns(self, workdir):
         scn = scenario()

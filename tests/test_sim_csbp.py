@@ -163,6 +163,46 @@ class TestDeterminism:
         assert sm.estimate_Minfty(pr) == pr.M[-1]
 
 
+class TestPoissonCounts:
+    def test_zero_uniform_gives_zero_count(self):
+        from supermart.sim.csbp import _poisson_counts
+
+        # mu > 25 takes the quantile branch, where poisson.ppf(0, mu) is -1
+        assert _poisson_counts(np.array([0.0]), np.array([30.0])).tolist() == [0]
+        mu = np.array([1e-3, 0.5, 24.0, 25.0, 25.5, 30.0, 1e4])
+        counts = _poisson_counts(np.zeros_like(mu), mu)
+        assert counts.tolist() == [0] * len(mu)
+
+    def test_quantile_equals_scipy_ppf_on_dense_grid(self):
+        from scipy.special import pdtr
+        from scipy.stats import poisson
+
+        from supermart.sim.csbp import _poisson_quantile
+
+        mu = np.geomspace(1e-3, 1e4, 181)
+        u = np.concatenate(
+            [np.linspace(0.0, 1.0, 1001)[1:-1], [1e-300, 1e-12, 1e-6, 1 - 1e-9, 1 - 2**-53]]
+        )
+        uu, mm = np.meshgrid(u, mu)
+        assert np.array_equal(_poisson_quantile(uu, mm), poisson.ppf(uu, mm).astype(np.int64))
+        # u exactly at the CDF steps, where the step-down decides the count
+        k = np.arange(0, 60, dtype=float)
+        kk, mm = np.meshgrid(k, np.array([0.3, 4.0, 27.0, 40.0]))
+        steps = pdtr(kk, mm)
+        steps = np.where((steps > 0) & (steps < 1), steps, 0.5)
+        assert np.array_equal(_poisson_quantile(steps, mm), poisson.ppf(steps, mm).astype(np.int64))
+
+    def test_counts_equal_scipy_ppf_on_both_branches(self):
+        from scipy.stats import poisson
+
+        from supermart.sim.csbp import _poisson_counts
+
+        rng = np.random.default_rng(4)
+        u = rng.random(20000)
+        mu = np.geomspace(1e-2, 400.0, u.size)
+        assert np.array_equal(_poisson_counts(u, mu), poisson.ppf(u, mu).astype(np.int64))
+
+
 class TestConfigValidation:
     def test_dt_horizon_ratio(self):
         with pytest.raises(ValueError):

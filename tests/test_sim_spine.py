@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import supermart as sm
-from supermart.sim.spine import _truncation_budget
+from supermart.sim.spine import _SpineImmigration, _truncation_budget
 from supermart.verify import suite_spine
 
 
@@ -41,6 +41,55 @@ class TestSpineOccupation:
         rep = suite_spine(paths=3000, seed=2718)
         occ = rep["checks"][0]
         assert occ["passed"], occ
+
+
+def reference_spine_path(imm, tilted, init_cdf, rng):
+    """The embedded-chain sampler that rebuilt each jump's CDF at the jump."""
+    h = imm.cfg.dt
+    state = int(np.searchsorted(init_cdf, rng.random()))
+    out = np.empty(imm.n_steps, dtype=np.int8)
+    t = 0.0
+    pos = 0
+    while t < imm.cfg.horizon and pos < imm.n_steps:
+        rate = -tilted[state, state]
+        if rate <= 0:
+            out[pos:] = state
+            break
+        stay = rng.exponential(1.0 / rate)
+        until = min(imm.n_steps, int(math.ceil((t + stay) / h - 1e-12)))
+        out[pos:until] = state
+        pos = until
+        t += stay
+        w = tilted[state].copy()
+        w[state] = 0.0
+        state = int(np.searchsorted(np.cumsum(w / w.sum()), rng.random()))
+    return out
+
+
+class TestSpinePathSampler:
+    def test_matches_per_jump_cdf_reference(self):
+        m = sm.model_from_json(
+            {
+                "types": 3,
+                "Q": [[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3], [2.0, 1.0, -3.0]],
+                "beta": [1.5, 0.5, 1.0],
+                "alpha": [0.5, 0.5, 0.5],
+                "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}] * 3,
+            }
+        )
+        eig = sm.principal_eigentriple(m)
+        cfg = sm.SpineConfig(dt=0.01, horizon=5.0, paths=1, master_seed=1)
+        x0 = np.array([0.2, 0.5, 0.3])
+        imm = _SpineImmigration(m, eig, cfg, x0)
+        tilted = sm.tilted_generator(m, eig).q
+        init_cdf = np.cumsum(eig.phi * x0 / (eig.phi * x0).sum())
+        visited = set()
+        for seed in range(300):
+            got = imm._simulate_spine_path(np.random.default_rng(seed))
+            ref = reference_spine_path(imm, tilted, init_cdf, np.random.default_rng(seed))
+            assert np.array_equal(got, ref), seed
+            visited.update(np.unique(got).tolist())
+        assert visited == {0, 1, 2}
 
 
 class TestNoImmigrationDegenerate:
