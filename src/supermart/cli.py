@@ -2,7 +2,9 @@
 run, verify.
 
 Exit codes: 0 success, 1 config schema violation (message carries a JSON
-pointer to the fault), 2 model validation or spectral failure, 3 numerical
+pointer to the fault), 2 model validation or spectral failure, or an analysis
+argument out of range (a seed-set index outside the model's types, a
+criteria grid start or eigen target outside its interval), 3 numerical
 failure (more than 10% of paths flagged).
 """
 
@@ -18,7 +20,14 @@ import numpy as np
 
 from . import __version__
 from .errors import SupermartError
-from .model import gw_from_json, gw_to_json, model_from_json, model_to_json, validate_model
+from .model import (
+    gw_from_json,
+    gw_to_json,
+    model_from_json,
+    model_to_json,
+    seed_set,
+    validate_model,
+)
 from .spectral import assumption2_report, principal_eigentriple, spectral_gap
 from .criteria import Predictions, conjugate, evaluate_criteria, gw_predictions
 from .sim import SimConfig, SpineConfig, simulate_csbp, simulate_gw, simulate_spine
@@ -186,15 +195,18 @@ def _criteria(model, gw, eig, cfg: dict):
     if gw is not None:
         preds = gw_predictions(gw, p_values=p_values, gamma_values=gamma_values)
         return preds.as_dict(), preds
-    report = evaluate_criteria(
-        model,
-        eig,
-        p_values=p_values,
-        gamma_values=gamma_values,
-        f_set=cfg.get("F"),
-        t0=cfg.get("t0", 10.0),
-        t1=cfg.get("t1", 10.0),
-    )
+    try:
+        report = evaluate_criteria(
+            model,
+            eig,
+            p_values=p_values,
+            gamma_values=gamma_values,
+            f_set=cfg.get("F"),
+            t0=cfg.get("t0", 10.0),
+            t1=cfg.get("t1", 10.0),
+        )
+    except ValueError as exc:
+        _fail(EXIT_MODEL, f"criteria: {exc}")
     return report.as_dict(), report.predictions
 
 
@@ -342,18 +354,26 @@ def cmd_eigen(args):
     model, gw = _resolve_model(args.model)
     _require_kind("eigen", "csbp", gw)
     eig = _require_valid(model)
+    try:
+        payload = _eigen_payload(model, eig, args.target)
+    except ValueError as exc:
+        _fail(EXIT_MODEL, f"eigen: {exc}")
     out = args.out or "eigen.json"
-    write_json(out, _eigen_payload(model, eig, args.target), _meta(None, model_to_json(model)))
+    write_json(out, payload, _meta(None, model_to_json(model)))
     print(out)
 
 
 def cmd_criteria(args):
     model, gw = _resolve_model(args.model)
     eig = _require_valid(model) if model is not None else None
+    try:
+        f_set = None if args.F is None else [int(v) for v in args.F.split(",")]
+    except ValueError:
+        _fail(EXIT_MODEL, f"criteria: --F must be comma-separated type indices, got {args.F!r}")
     cfg = {
         "p": args.p,
         "gamma": args.gamma,
-        "F": [int(v) for v in args.F.split(",")] if args.F else None,
+        "F": f_set,
         "t0": args.t0,
         "t1": args.t1,
     }
@@ -439,6 +459,13 @@ def cmd_run(args):
     if model is not None:
         write_json(os.path.join(out_dir, "model.json"), model_to_json(model), meta)
         eig = _require_valid(model)
+        rates_f = analyses.get("rates", {}).get("F")
+        if rates_f is not None:
+            # window_law_check refuses it too, but only after the simulation
+            try:
+                seed_set(rates_f, model.d)
+            except ValueError as exc:
+                _fail(EXIT_MODEL, f"rates: {exc}")
         write_json(os.path.join(out_dir, "eigen.json"), _eigen_payload(model, eig, 0.5), meta)
     else:
         write_json(os.path.join(out_dir, "model.json"), {"kind": "gw"}, meta)

@@ -21,6 +21,13 @@ The criteria evaluated here, with the downstream prediction each one drives:
                           the series criterion fail.
 * ``inf_log_condition``-- the borderline o((log t)^-g) condition separating
                           the polynomial rate from its failure.
+
+``B`` and ``b`` are read off one ``(grid, types)`` table of tails, built from
+the kernels' own scalar closed forms.  Row maxima, minima and ratios are
+vectorized (division and comparison are exact), but each row's denominator
+``sum_y nu_y tail_y(t)`` stays one ``nu @ row`` dot product: a matrix-vector
+product ``table @ nu`` or a Python sum rounds differently in some rows, and
+so would numpy's vectorized ``power`` in place of the scalar kernel powers.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GWModel, Model, phi_tail
+from .model import GWModel, Model, seed_set
 from .spectral import Eigentriple
 
 __all__ = [
@@ -93,10 +100,23 @@ def log_moment(model: Model, eig: Eigentriple, gamma: float) -> float:
     return _nu_average(model, eig, lambda k, f: k.log_moment(f, gamma))
 
 
-def _log_grid(t0: float, hi: float = _GRID_HI) -> np.ndarray:
-    decades = math.log10(hi / t0)
-    n = max(2, int(math.ceil(decades * _GRID_PER_DECADE)))
-    return np.geomspace(t0 * (1.0 + 1e-9), hi, n)
+def _tail_table(model: Model, eig: Eigentriple, t_lo: float, name: str, per_type):
+    """``per_type(kernel_i, phi_i, t)`` on the log grid over ``(t_lo, 1e6]``.
+
+    Returns the ``(grid, types)`` table and each row's ``nu``-average.  The
+    entries come from scalar closed forms at Python-float times, and every
+    average is its own dot product, so both match a per-t loop bit for bit.
+    """
+    if not (0.0 < t_lo < _GRID_HI):
+        raise ValueError(f"{name} must lie in (0, {_GRID_HI:g}), got {t_lo!r}")
+    if (eig.phi <= 0).any():
+        raise ValueError("phi must be strictly positive")
+    n = max(2, int(math.ceil(math.log10(_GRID_HI / t_lo) * _GRID_PER_DECADE)))
+    grid = np.geomspace(t_lo * (1.0 + 1e-9), _GRID_HI, n).tolist()
+    types = [(k, float(p)) for k, p in zip(model.mech.kernels, eig.phi)]
+    table = np.array([[per_type(k, p, t) for k, p in types] for t in grid])
+    dens = np.array([float(eig.nu @ row) for row in table])
+    return table, dens
 
 
 def uniform_tail_B(model: Model, eig: Eigentriple, t0: float = 10.0) -> float:
@@ -107,17 +127,12 @@ def uniform_tail_B(model: Model, eig: Eigentriple, t0: float = 10.0) -> float:
     model the ratio is t-independent.  Returns ``inf`` when the denominator
     vanishes while some numerator does not (the bound fails).
     """
-    best = 0.0
-    for t in _log_grid(t0):
-        tails = np.array([phi_tail(model, eig, i, t) for i in range(model.d)])
-        num = np.max(tails / eig.phi)
-        den = float(eig.nu @ tails)
-        if den <= 0.0:
-            if num > 0.0:
-                return math.inf
-            continue
-        best = max(best, float(num / den))
-    return best
+    tails, dens = _tail_table(model, eig, t0, "t0", lambda k, p, t: k.tail(t / p))
+    nums = np.max(tails / eig.phi, axis=1)
+    live = dens > 0.0
+    if (nums[~live] > 0.0).any():
+        return math.inf
+    return float(np.max(nums[live] / dens[live], initial=0.0))
 
 
 def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> float:
@@ -125,27 +140,18 @@ def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> fl
 
     ``b(t) = inf_{x in F} [(1/phi_x) integral_t^inf r pi^phi_x] /
     [sum_y nu_y integral_t^inf r pi^phi_y]``; reported as the inf over the
-    log grid.  Returns 0 when the bound collapses (condition fails).
+    log grid.  Returns 0 when the bound collapses (condition fails).  Raises
+    ``ValueError`` for an empty ``F`` or an index outside ``[0, d)``.
     """
-    f_idx = sorted(set(int(i) for i in f_set))
-    if not f_idx:
-        raise ValueError("F must be nonempty")
+    f_idx = seed_set(f_set, model.d)
     if float(sum(eig.nu[i] for i in f_idx)) <= 0.0:
         raise ValueError("nu(F) must be positive")
-    best = math.inf
-    for t in _log_grid(t1):
-        tails = np.array(
-            [model.mech.kernels[i].first_moment_tail(float(eig.phi[i]), t) for i in range(model.d)]
-        )
-        den = float(eig.nu @ tails)
-        num = min(tails[i] / float(eig.phi[i]) for i in f_idx)
-        if den <= 0.0:
-            # no tail mass anywhere: the bound holds vacuously at this t
-            continue
-        best = min(best, float(num / den))
-    if math.isinf(best):
-        return 0.0
-    return best
+    tails, dens = _tail_table(model, eig, t1, "t1", lambda k, p, t: k.first_moment_tail(p, t))
+    nums = np.min(tails[:, f_idx] / eig.phi[f_idx], axis=1)
+    # a row with no tail mass anywhere holds vacuously and is skipped
+    live = dens > 0.0
+    best = float(np.min(nums[live] / dens[live], initial=math.inf))
+    return 0.0 if math.isinf(best) else best
 
 
 def inf_log_condition(

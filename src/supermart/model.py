@@ -37,6 +37,7 @@ __all__ = [
     "GWModel",
     "ValidationReport",
     "validate_model",
+    "seed_set",
     "kernel_tail",
     "kernel_partial_moment",
     "phi_tail",
@@ -405,6 +406,21 @@ def validate_model(model: Model) -> ValidationReport:
         if not math.isfinite(v):
             failures.append(f"type {i}: (r wedge r^2) integral diverges")
     return ValidationReport(ok=not failures, rmin_r2=vals, failures=failures)
+
+
+def seed_set(f_set, d: int) -> list:
+    """Sorted distinct type indices of a seed set ``F`` of a ``d``-type model.
+
+    Raises ``ValueError`` for an empty set and for an index outside
+    ``[0, d)``; a negative index would otherwise wrap to another type.
+    """
+    f_idx = sorted(set(int(i) for i in f_set))
+    if not f_idx:
+        raise ValueError("F must be nonempty")
+    bad = [i for i in f_idx if not 0 <= i < d]
+    if bad:
+        raise ValueError(f"F index {bad[0]} is outside [0, {d}) for a model with d = {d} types")
+    return f_idx
 
 
 def kernel_tail(model: Model, i: int, t: float) -> float:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import seed_set
+
 __all__ = [
     "RateFit",
     "lp_curve",
@@ -283,10 +285,11 @@ def window_law_check(ensemble, f_idx, eig, n_values=None) -> dict:
 
     Extinct paths (zero limit proxy) are skipped; reports the median absolute
     deviation from the target per window index and the survival fraction.
+    Raises ``ValueError`` for an empty ``f_idx`` or an index outside ``[0, d)``.
     """
     from .functionals import window_average
 
-    f_idx = sorted(set(int(i) for i in f_idx))
+    f_idx = seed_set(f_idx, eig.d)
     target = float(np.sum(eig.nu[f_idx] * eig.phi[f_idx]))
     if n_values is None:
         n_values = list(range(1, int(math.floor(0.5 * ensemble.horizon)) + 1))

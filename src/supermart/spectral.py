@@ -168,17 +168,29 @@ def spectral_gap(model: Model) -> float:
     return float(w[order[0]].real - w[order[1]].real)
 
 
-def c_of_t(model: Model, eig: Eigentriple, t: float) -> float:
+def c_of_t(model: Model, eig: Eigentriple, t):
     """Worst relative deviation of ``P_t`` from its Perron profile at time t.
 
     ``max_{x,j} |P_t e_j(x) / (e^{lambda t} phi(x) nu_j) - 1|``, which equals
     the supremum over all f in L1+(nu) on a finite type space.
+
+    ``t`` may be a scalar (a float is returned) or an array of times (an
+    array of the same shape is returned); every time must be positive.  An
+    array takes one ``scipy.linalg.expm`` call on the stack ``t * A``, which
+    runs the same scaling-and-squaring Pade algorithm slice by slice, so each
+    value equals the scalar call's bit for bit.  The curve deliberately stays
+    on ``expm`` rather than one eigendecomposition ``V exp(t w) V^-1``: that
+    is faster but was off by up to about 1e-11 absolute on random models and
+    is ill-conditioned for non-normal generators.
     """
-    if t <= 0:
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr > 0):
         raise ValueError("c_of_t needs t > 0")
-    e_t = linalg.expm(t * generator_matrix(model))
-    profile = np.exp(eig.lam * t) * np.outer(eig.phi, eig.nu)
-    return float(np.max(np.abs(e_t / profile - 1.0)))
+    ts = t_arr.reshape(-1)
+    e_t = linalg.expm(ts[:, None, None] * generator_matrix(model))
+    profile = np.exp(eig.lam * ts)[:, None, None] * np.outer(eig.phi, eig.nu)
+    c = np.max(np.abs(e_t / profile - 1.0), axis=(1, 2))
+    return float(c[0]) if t_arr.ndim == 0 else c.reshape(t_arr.shape)
 
 
 def assumption2_report(
@@ -197,18 +209,22 @@ def assumption2_report(
     reached on the configured grid.
     """
     if not (0.0 < target < 1.0):
-        raise ValueError("target must lie in (0, 1)")
+        raise ValueError(f"target must lie in (0, 1), got {target!r}")
     gap = spectral_gap(model)
     if horizon is None:
         horizon = 40.0 / gap if np.isfinite(gap) and gap > 0 else 50.0
     n = max(2, int(np.ceil(np.log10(horizon / t_min) * points_per_decade)))
     grid = np.geomspace(t_min, horizon, n)
-    c = np.array([c_of_t(model, eig, t) for t in grid])
+    c = c_of_t(model, eig, grid)
     curve = CtCurve(grid=grid, c=c)
     tol = 1e-12
-    for i in range(n):
-        if c[i] <= target and np.all(np.diff(c[i:]) <= tol * np.maximum(c[i:-1], 1.0)):
-            return {"t_star": float(grid[i]), "curve": curve}
+    # the curve decreases from grid point i on when every later step does,
+    # up to round-off; the last point's empty tail counts as decreasing
+    steps_ok = np.diff(c) <= tol * np.maximum(c[:-1], 1.0)
+    tail_ok = np.append(np.logical_and.accumulate(steps_ok[::-1])[::-1], True)
+    hits = np.flatnonzero((c <= target) & tail_ok)
+    if hits.size:
+        return {"t_star": float(grid[hits[0]]), "curve": curve}
     raise SpectralError(f"c_t did not settle below {target} within horizon {horizon:.3g}")
 
 

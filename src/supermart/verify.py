@@ -103,7 +103,7 @@ def suite_eigen(n_models: int = 20, seed: int = 20240817) -> dict:
         semi_err = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
         gap = spectral_gap(model)
         grid = np.linspace(1.0 / gap, 10.0 / gap, 12)
-        c_vals = np.array([c_of_t(model, eig, t) for t in grid])
+        c_vals = c_of_t(model, eig, grid)
         mono = bool(np.all(np.diff(c_vals) <= 1e-12 + 1e-9 * c_vals[:-1]))
         checks.append(
             {

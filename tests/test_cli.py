@@ -112,6 +112,76 @@ class TestSubcommands:
         assert (workdir / "ratecurves.csv").exists()
 
 
+TWO_TYPE_MODEL = {
+    "types": 2,
+    "Q": [[-1.0, 1.0], [1.0, -1.0]],
+    "beta": [1.0, 1.0],
+    "alpha": [0.0, 0.0],
+    "kernels": [
+        {"kind": "stable", "gamma": 1.0, "alpha": 1.5},
+        {"kind": "atoms", "atoms": [[2.0, 1.0]]},
+    ],
+}
+
+
+class TestArgumentRefusals:
+    """Out-of-range analysis arguments exit 2 with a message, never a traceback."""
+
+    @pytest.fixture
+    def two_type(self, workdir):
+        (workdir / "m2.json").write_text(json.dumps(TWO_TYPE_MODEL))
+        return workdir
+
+    def _refused(self, r, *needles):
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        for needle in needles:
+            assert needle in r.stderr, r.stderr
+
+    @pytest.mark.parametrize(
+        "flag,needles",
+        [
+            ("--F=-1", ("F index -1", "[0, 2)")),
+            ("--F=9", ("F index 9", "[0, 2)")),
+            ("--F=0,", ("--F", "'0,'")),
+            ("--t0=0", ("t0 must lie in",)),
+            ("--t0=-5", ("t0 must lie in", "-5")),
+            ("--t1=0", ("t1 must lie in",)),
+        ],
+    )
+    def test_criteria_flags(self, two_type, flag, needles):
+        r = run_cli("criteria", "--model", "m2.json", flag, cwd=two_type)
+        self._refused(r, *needles)
+        assert not (two_type / "criteria.json").exists()
+
+    def test_criteria_valid_seed_set_still_runs(self, two_type):
+        r = run_cli("criteria", "--model", "m2.json", "--F", "0,0", cwd=two_type)
+        assert r.returncode == 0, r.stderr
+        assert json.loads((two_type / "criteria.json").read_text())["b"] > 0.0
+
+    def test_eigen_target(self, workdir):
+        r = run_cli("eigen", "--model", "model.json", "--target", "1.5", cwd=workdir)
+        self._refused(r, "target must lie in (0, 1)", "1.5")
+        assert not (workdir / "eigen.json").exists()
+
+    @pytest.mark.parametrize(
+        "part,f_set,needles",
+        [
+            ("criteria", [1], ("criteria: F index 1", "[0, 1)")),
+            ("criteria", [], ("criteria: F must be nonempty",)),
+            ("rates", [-1], ("rates: F index -1", "[0, 1)")),
+        ],
+    )
+    def test_scenario_seed_sets(self, workdir, part, f_set, needles):
+        scn = scenario()
+        scn["analyses"][part]["F"] = f_set
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        self._refused(r, *needles)
+        # refused before anything is simulated
+        assert not (workdir / "outdir" / "paths.csv").exists()
+
+
 class TestRun:
     def test_minimal_deterministic_scenario_all_consistent(self, workdir):
         # noiseless model: every verdict is trivially consistent

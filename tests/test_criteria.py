@@ -11,6 +11,102 @@ from supermart.criteria import evaluate_criteria, gw_predictions
 from test_model import quad_stable, single_type
 
 
+def reference_log_grid(t0):
+    n = max(2, int(math.ceil(math.log10(1e6 / t0) * 60)))
+    return np.geomspace(t0 * (1.0 + 1e-9), 1e6, n)
+
+
+def reference_B(model, eig, t0=10.0):
+    """``uniform_tail_B`` as the per-t loop it replaced."""
+    best = 0.0
+    for t in reference_log_grid(t0):
+        tails = np.array([sm.phi_tail(model, eig, i, t) for i in range(model.d)])
+        num = np.max(tails / eig.phi)
+        den = float(eig.nu @ tails)
+        if den <= 0.0:
+            if num > 0.0:
+                return math.inf
+            continue
+        best = max(best, float(num / den))
+    return best
+
+
+def reference_b(model, eig, f_set, t1=10.0):
+    """``lower_bound_b`` as the per-t loop it replaced."""
+    f_idx = sorted(set(int(i) for i in f_set))
+    best = math.inf
+    for t in reference_log_grid(t1):
+        tails = np.array(
+            [model.mech.kernels[i].first_moment_tail(float(eig.phi[i]), t) for i in range(model.d)]
+        )
+        den = float(eig.nu @ tails)
+        num = min(tails[i] / float(eig.phi[i]) for i in f_idx)
+        if den <= 0.0:
+            continue
+        best = min(best, float(num / den))
+    if math.isinf(best):
+        return 0.0
+    return best
+
+
+def ring_model(kernels, beta=None, seed=0):
+    """Irreducible model with an asymmetric motion and the given kernels."""
+    d = len(kernels)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q = rng.uniform(0.2, 2.0, size=(d, d)) if d > 1 else np.zeros((1, 1))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    beta = rng.uniform(0.2, 1.5, size=d) if beta is None else np.asarray(beta)
+    return sm.model_from_json(
+        {
+            "types": d,
+            "Q": q.tolist(),
+            "beta": beta.tolist(),
+            "alpha": [0.0] * d,
+            "kernels": kernels,
+        }
+    )
+
+
+@st.composite
+def kernel_json(draw):
+    if draw(st.booleans()):
+        gamma = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+        return {"kind": "stable", "gamma": gamma, "alpha": draw(st.floats(1.05, 1.95))}
+    atoms = draw(
+        st.lists(st.tuples(st.floats(0.1, 2000.0), st.floats(0.1, 2.0)), min_size=1, max_size=3)
+    )
+    return {"kind": "atoms", "atoms": [list(a) for a in atoms]}
+
+
+@st.composite
+def tail_case(draw):
+    """A mixed-kernel model, its eigentriple, a grid start and a seed set ``F``."""
+    kernels = draw(st.lists(kernel_json(), min_size=1, max_size=4))
+    model = ring_model(kernels, seed=draw(st.integers(0, 2**31 - 1)))
+    eig = sm.principal_eigentriple(model)
+    t_lo = draw(st.sampled_from([0.5, 3.0, 10.0, 250.0]))
+    f_set = draw(st.lists(st.integers(0, model.d - 1), min_size=1, max_size=model.d))
+    return model, eig, t_lo, f_set
+
+
+ATOMS3 = [
+    {"kind": "atoms", "atoms": [[2.0, 1.0], [40.0, 0.3]]},
+    {"kind": "atoms", "atoms": [[1500.0, 0.2]]},
+    {"kind": "atoms", "atoms": [[0.5, 2.0], [120.0, 0.5], [9000.0, 0.01]]},
+]
+STABLE3 = [
+    {"kind": "stable", "gamma": 1.0, "alpha": 1.5},
+    {"kind": "stable", "gamma": 0.3, "alpha": 1.1},
+    {"kind": "stable", "gamma": 2.0, "alpha": 1.9},
+]
+MIXED3 = [
+    {"kind": "stable", "gamma": 0.7, "alpha": 1.3},
+    {"kind": "atoms", "atoms": [[30.0, 0.5], [400.0, 0.1]]},
+    {"kind": "stable", "gamma": 0.0, "alpha": 1.5},
+]
+
+
 def eig1(phi=1.0):
     return sm.Eigentriple(lam=1.0, phi=np.array([phi]), nu=np.array([1.0 / phi]))
 
@@ -191,6 +287,85 @@ class TestLowerBoundB:
         gammas = np.array([1.0, 2.0])
         closed = np.min(gammas * eig.phi**0.5) / float(eig.nu @ (gammas * eig.phi**1.5))
         assert sm.lower_bound_b(m, eig, [0, 1]) == pytest.approx(closed, rel=1e-8)
+
+
+class TestTailTableReference:
+    """``uniform_tail_B`` and ``lower_bound_b`` equal their old per-t loops exactly."""
+
+    @pytest.mark.parametrize("kernels", [ATOMS3, STABLE3, MIXED3], ids=["atoms", "stable", "mixed"])
+    @pytest.mark.parametrize("t_lo", [0.5, 10.0, 3000.0])
+    def test_fixed_models(self, kernels, t_lo):
+        model = ring_model(kernels)
+        eig = sm.principal_eigentriple(model)
+        assert sm.uniform_tail_B(model, eig, t_lo) == reference_B(model, eig, t_lo)
+        for f_set in ([0], [1], [2], [0, 2], [2, 0, 2], [0, 1, 2]):
+            got = sm.lower_bound_b(model, eig, f_set, t_lo)
+            assert got == reference_b(model, eig, f_set, t_lo), f_set
+
+    @given(case=tail_case())
+    @settings(max_examples=60, deadline=None)
+    def test_random_models(self, case):
+        model, eig, t_lo, f_set = case
+        assert sm.uniform_tail_B(model, eig, t_lo) == reference_B(model, eig, t_lo)
+        assert sm.lower_bound_b(model, eig, f_set, t_lo) == reference_b(model, eig, f_set, t_lo)
+
+    def test_zero_gamma_stable_kernel(self):
+        model = ring_model([{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2)
+        eig = sm.principal_eigentriple(model)
+        assert sm.uniform_tail_B(model, eig) == reference_B(model, eig) == 0.0
+        assert sm.lower_bound_b(model, eig, [0, 1]) == reference_b(model, eig, [0, 1]) == 0.0
+
+    def test_B_is_inf_where_only_a_nu_null_type_has_tail(self):
+        # nu puts no mass on type 1, whose tail outlives type 0's atom at 2
+        model = ring_model([{"kind": "atoms", "atoms": [[2.0, 1.0]]}, STABLE])
+        eig = sm.Eigentriple(lam=1.0, phi=np.array([1.0, 1.0]), nu=np.array([1.0, 0.0]))
+        assert sm.uniform_tail_B(model, eig, 0.5) == reference_B(model, eig, 0.5) == math.inf
+
+    def test_b_skips_rows_without_tail_mass(self):
+        # first-moment tails vanish above the largest atom: those rows are skipped
+        model = ring_model(
+            [{"kind": "atoms", "atoms": [[50.0, 1.0]]}, {"kind": "atoms", "atoms": [[80.0, 0.5]]}]
+        )
+        eig = sm.principal_eigentriple(model)
+        got = sm.lower_bound_b(model, eig, [1], 1.0)
+        assert got == reference_b(model, eig, [1], 1.0)
+        assert got > 0.0
+        # every row empty: the bound collapses to 0
+        got = sm.lower_bound_b(model, eig, [1], 500.0)
+        assert got == reference_b(model, eig, [1], 500.0) == 0.0
+
+
+class TestArgumentRefusals:
+    MODEL2 = [STABLE, {"kind": "atoms", "atoms": [[2.0, 1.0]]}]
+
+    @pytest.mark.parametrize("f_set,bad", [([-1], -1), ([2], 2), ([0, 9], 9), ([-1, 1], -1)])
+    def test_seed_set_index_outside_types(self, f_set, bad):
+        model = ring_model(self.MODEL2)
+        eig = sm.principal_eigentriple(model)
+        with pytest.raises(ValueError, match=rf"F index {bad} is outside \[0, 2\)"):
+            sm.lower_bound_b(model, eig, f_set)
+
+    def test_empty_seed_set(self):
+        model = ring_model(self.MODEL2)
+        eig = sm.principal_eigentriple(model)
+        with pytest.raises(ValueError, match="F must be nonempty"):
+            sm.lower_bound_b(model, eig, [])
+
+    def test_window_law_check_refuses_bad_seed_sets(self):
+        eig = sm.principal_eigentriple(ring_model(self.MODEL2))
+        # the seed set is checked before the ensemble is read
+        with pytest.raises(ValueError, match=r"F index -1 is outside \[0, 2\)"):
+            sm.window_law_check(None, [-1], eig)
+        with pytest.raises(ValueError, match="F must be nonempty"):
+            sm.window_law_check(None, [], eig)
+
+    @pytest.mark.parametrize("t_lo", [0.0, -5.0, float("nan"), 1e6, 2e6])
+    def test_grid_start_outside_range(self, t_lo):
+        m = single_type(STABLE)
+        with pytest.raises(ValueError, match="t0 must lie in"):
+            sm.uniform_tail_B(m, eig1(), t_lo)
+        with pytest.raises(ValueError, match="t1 must lie in"):
+            sm.lower_bound_b(m, eig1(), [0], t_lo)
 
 
 class TestInfLogCondition:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 import supermart as sm
 from supermart.errors import SpectralError
@@ -32,13 +33,12 @@ def expm_oracle(a, t):
     return np.real(v @ np.diag(np.exp(t * w)) @ np.linalg.inv(v))
 
 
-@st.composite
-def random_irreducible(draw):
-    d = draw(st.integers(2, 5))
-    seed = draw(st.integers(0, 2**31 - 1))
+def irreducible_model(d, seed, symmetric=True):
+    """Seeded irreducible model; a symmetric motion keeps the generator normal."""
     rng = np.random.Generator(np.random.PCG64(seed))
     s = rng.uniform(0.1, 1.2, size=(d, d))
-    s = 0.5 * (s + s.T)
+    if symmetric:
+        s = 0.5 * (s + s.T)
     q = s.copy()
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
@@ -52,6 +52,51 @@ def random_irreducible(draw):
             "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * d,
         }
     )
+
+
+@st.composite
+def random_irreducible(draw, symmetric=True):
+    return irreducible_model(
+        draw(st.integers(2, 5)), draw(st.integers(0, 2**31 - 1)), symmetric=symmetric
+    )
+
+
+@st.composite
+def model_time_weights(draw):
+    """A model, a time and nonnegative weights ``f`` without subnormal entries.
+
+    The deviation of ``P_t f`` is homogeneous of degree 0 in ``f``; a
+    subnormal ``f`` carries too few bits for it to measure anything but
+    rounding.
+    """
+    model = draw(random_irreducible())
+    t = draw(st.floats(0.2, 3.0))
+    f = draw(
+        st.lists(
+            st.floats(0.0, 5.0, allow_subnormal=False), min_size=model.d, max_size=model.d
+        )
+    )
+    return model, t, np.array(f)
+
+
+def c_of_t_reference(model, eig, t):
+    """The scalar ``c_of_t``, one ``expm`` per time, kept as a reference."""
+    e_t = linalg.expm(t * generator_matrix(model))
+    profile = np.exp(eig.lam * t) * np.outer(eig.phi, eig.nu)
+    return float(np.max(np.abs(e_t / profile - 1.0)))
+
+
+def assumption2_reference(model, eig, target, t_min=1e-3, points_per_decade=60):
+    """``assumption2_report``'s grid, curve and ``t_star`` from a per-t loop."""
+    gap = sm.spectral_gap(model)
+    horizon = 40.0 / gap if np.isfinite(gap) and gap > 0 else 50.0
+    n = max(2, int(np.ceil(np.log10(horizon / t_min) * points_per_decade)))
+    grid = np.geomspace(t_min, horizon, n)
+    c = np.array([c_of_t_reference(model, eig, t) for t in grid])
+    for i in range(n):
+        if c[i] <= target and np.all(np.diff(c[i:]) <= 1e-12 * np.maximum(c[i:-1], 1.0)):
+            return grid, c, float(grid[i])
+    return grid, c, None
 
 
 class TestSemigroup:
@@ -165,16 +210,15 @@ class TestCOfT:
         eig = sm.principal_eigentriple(tilted2)
         assert sm.c_of_t(tilted2, eig, 2.0) < sm.c_of_t(tilted2, eig, 1.0)
 
-    @given(model=random_irreducible(), data=st.data())
+    @given(case=model_time_weights())
+    @example(case=(irreducible_model(2, 0), 2.0, np.array([0.0, 1.0])))
     @settings(max_examples=40, deadline=None)
-    def test_convex_combination_bound(self, model, data):
+    def test_convex_combination_bound(self, case):
         # deviation of any nonnegative f is a nu(f)-weighted convex
-        # combination of the basis deviations, hence bounded by their max
+        # combination of the basis deviations, hence bounded by their max;
+        # the example is the scaled twin of a subnormal draw f = [0, 5e-324]
+        model, t, f = case
         eig = sm.principal_eigentriple(model)
-        t = data.draw(st.floats(0.2, 3.0))
-        f = np.array(
-            [data.draw(st.floats(0.0, 5.0)) for _ in range(model.d)]
-        )
         if float(eig.nu @ f) <= 0:
             return
         lhs = sm.semigroup_apply(model, t, f)
@@ -208,6 +252,77 @@ class TestCOfT:
         assert sm.c_of_t(model, eig, 10.0 / gap) < 1e-3
 
 
+class TestCOfTArray:
+    """The array form of ``c_of_t`` against the per-t scalar loop, bit for bit."""
+
+    GRID = np.concatenate([np.geomspace(1e-3, 60.0, 97), [0.25, 1.0, 2.0, 7.5]])
+
+    def _check(self, model):
+        eig = sm.principal_eigentriple(model)
+        got = sm.c_of_t(model, eig, self.GRID)
+        want = np.array([c_of_t_reference(model, eig, t) for t in self.GRID])
+        assert got.shape == self.GRID.shape
+        assert np.array_equal(got, want)
+
+    @given(model=random_irreducible())
+    @settings(max_examples=30, deadline=None)
+    def test_symmetric_models(self, model):
+        self._check(model)
+
+    @given(model=random_irreducible(symmetric=False))
+    @settings(max_examples=30, deadline=None)
+    def test_non_normal_models(self, model):
+        self._check(model)
+
+    @pytest.mark.parametrize("name", ["symmetric2", "tilted2", "stable1"])
+    def test_fixture_models(self, name, request):
+        # stable1 is 1 x 1, where expm takes its scalar branch
+        self._check(request.getfixturevalue(name))
+
+    def test_scalar_returns_float_and_shape_is_kept(self, tilted2):
+        eig = sm.principal_eigentriple(tilted2)
+        for t in (1.3, np.float64(1.3), np.array(1.3)):
+            got = sm.c_of_t(tilted2, eig, t)
+            assert type(got) is float
+            assert got == c_of_t_reference(tilted2, eig, 1.3)
+        ts = np.array([[0.5, 1.0], [2.0, 4.0]])
+        got = sm.c_of_t(tilted2, eig, ts)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == c_of_t_reference(tilted2, eig, 2.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, [1.0, 0.0, 2.0], [1.0, -3.0], [float("nan")]])
+    def test_nonpositive_time_anywhere_raises(self, tilted2, t):
+        eig = sm.principal_eigentriple(tilted2)
+        with pytest.raises(ValueError, match="t > 0"):
+            sm.c_of_t(tilted2, eig, t if np.isscalar(t) else np.array(t))
+
+
+class TestAssumption2Reference:
+    """``assumption2_report`` against the per-t loop it replaced, exactly."""
+
+    def _check(self, model, target):
+        eig = sm.principal_eigentriple(model)
+        grid, c, t_star = assumption2_reference(model, eig, target)
+        assert t_star is not None
+        rep = sm.assumption2_report(model, eig, target)
+        assert np.array_equal(rep["curve"].grid, grid)
+        assert np.array_equal(rep["curve"].c, c)
+        assert rep["t_star"] == t_star
+
+    @given(
+        model=random_irreducible(),
+        target=st.sampled_from([0.9999, 0.5, 0.1, 1e-3, 1e-6]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_models(self, model, target):
+        self._check(model, target)
+
+    @pytest.mark.parametrize("name", ["symmetric2", "tilted2", "stable1"])
+    @pytest.mark.parametrize("target", [0.9999, 0.5, 0.3, 0.01])
+    def test_fixture_models(self, name, target, request):
+        self._check(request.getfixturevalue(name), target)
+
+
 class TestAssumption2Report:
     def test_symmetric_half_target(self, symmetric2):
         eig = sm.principal_eigentriple(symmetric2)
@@ -229,6 +344,12 @@ class TestAssumption2Report:
         assert (c >= 0).all()
         tail = c[len(c) // 2 :]
         assert np.all(np.diff(tail) <= 1e-12 + 1e-9 * tail[:-1])
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_target_outside_unit_interval_raises(self, symmetric2, target):
+        eig = sm.principal_eigentriple(symmetric2)
+        with pytest.raises(ValueError, match=r"target must lie in \(0, 1\)"):
+            sm.assumption2_report(symmetric2, eig, target)
 
     def test_rescaled_model_moves_t_star_to_one(self, symmetric2):
         from supermart.spectral import rescaled_model
