@@ -15,14 +15,10 @@ from .model import (
     RateMatrix,
     StablePowerLaw,
     TypeSpace,
-    kernel_partial_moment,
-    kernel_tail,
     model_from_json,
     model_to_json,
     gw_from_json,
     gw_to_json,
-    phi_tail,
-    sample_large_jump,
     validate_model,
 )
 from .spectral import (

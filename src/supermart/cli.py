@@ -2,10 +2,12 @@
 run, verify.
 
 Exit codes: 0 success, 1 config schema violation (message carries a JSON
-pointer to the fault), 2 model validation or spectral failure, or an analysis
-argument out of range (a seed-set index outside the model's types, a
-criteria grid start or eigen target outside its interval), 3 numerical
-failure (more than 10% of paths flagged).
+pointer to the fault) or a simulation setting the engine refuses, 2 model
+validation or spectral failure, or an analysis argument out of range (a
+seed-set index outside the model's types, a criteria grid start or eigen
+target outside its interval, a rate or functional ``p``, ``gamma`` or
+``a_star`` outside its range), 3 numerical failure (more than 10% of paths
+flagged).
 """
 
 from __future__ import annotations
@@ -161,6 +163,22 @@ def _require_kind(what: str, kind: str, gw) -> None:
         _fail(EXIT_MODEL, f"{what} needs {need} model, but the model is {got} model")
 
 
+_ARG_RANGES = {
+    "p": (lambda v: 1.0 < v <= 2.0, "(1, 2]"),
+    "gamma": (lambda v: 0.0 < v < math.inf, "(0, inf)"),
+    "a_star": (lambda v: 1.0 < v < math.inf, "(1, inf)"),
+}
+
+
+def _require_ranges(what: str, **values) -> None:
+    """Exit 2 unless every value of each named rate or functional argument is in range."""
+    for name, vals in values.items():
+        ok, span = _ARG_RANGES[name]
+        bad = [v for v in vals if not ok(v)]
+        if bad:
+            _fail(EXIT_MODEL, f"{what}: {name} = {bad[0]!r} is outside {span}")
+
+
 def _require_valid(model):
     rep = validate_model(model)
     if not rep.ok:
@@ -210,7 +228,11 @@ def _criteria(model, gw, eig, cfg: dict):
     return report.as_dict(), report.predictions
 
 
-def _sim_config(scn: dict, kind: str):
+def _sim_config(scn: dict):
+    """Engine config of a CSBP or spine scenario (None for GW); exit 1 if refused."""
+    kind = scn["kind"]
+    if kind == "gw":
+        return None
     sim = scn.get("sim", {})
     base = {
         "dt": sim.get("dt", 0.005),
@@ -221,19 +243,21 @@ def _sim_config(scn: dict, kind: str):
         "record_stride": sim.get("record_stride", 1),
         "log_jumps": sim.get("log_jumps", True),
     }
-    if kind == "spine":
-        return SpineConfig(
-            delta=sim.get("delta", 1e-3), delta_floor=sim.get("delta_floor", 1e-3), **base
-        )
-    return SimConfig(**base)
+    try:
+        if kind == "spine":
+            return SpineConfig(
+                delta=sim.get("delta", 1e-3), delta_floor=sim.get("delta_floor", 1e-3), **base
+            )
+        return SimConfig(**base)
+    except ValueError as exc:
+        _fail(EXIT_SCHEMA, f"sim: {exc}")
 
 
-def _simulate(scn: dict, model, gw, eig, threads: int):
+def _simulate(scn: dict, cfg, model, gw, eig, threads: int):
     kind = scn["kind"]
     if kind == "gw":
         gens = scn.get("gw", {}).get("generations", 20)
         return simulate_gw(gw, gens, scn["sim"]["paths"], scn["master_seed"])
-    cfg = _sim_config(scn, kind)
     x0 = np.asarray(scn["x0"], dtype=float) if "x0" in scn else None
     if kind == "spine":
         return simulate_spine(model, eig, cfg, x0=x0, threads=threads).ensemble
@@ -395,14 +419,16 @@ def cmd_simulate(args):
             "record_stride": args.record_stride,
         },
     }
+    cfg = _sim_config(scn)
     model, gw = _resolve_model(args.model)
     _require_kind(f"simulate {args.kind}", args.kind, gw)
     eig = _require_valid(model) if model is not None else None
-    ens = _simulate(scn, model, gw, eig, args.threads)
+    ens = _simulate(scn, cfg, model, gw, eig, args.threads)
     print(_write_ensemble(ensure_dir(args.out or "."), ens, _meta(args.seed, scn)))
 
 
 def cmd_functionals(args):
+    _require_ranges("functionals", a_star=[args.a_star], p=[args.p], gamma=[args.gamma])
     ens, meta = read_paths_csv(args.paths)
     rows = _functional_rows(ens, args.kinds, args.max_paths, args.a_star, args.p, args.gamma)
     out = args.out or "functionals.csv"
@@ -411,6 +437,7 @@ def cmd_functionals(args):
 
 
 def cmd_rates(args):
+    _require_ranges("rates", p=args.p, gamma=args.gamma)
     ens, meta = read_paths_csv(args.paths)
     preds = None
     if args.criteria:
@@ -444,6 +471,14 @@ def cmd_run(args):
         _fail(EXIT_SCHEMA, f"config schema violation at {pointer!r}: {exc.message}")
     if args.seed is not None:
         scn["master_seed"] = args.seed
+    analyses = scn.get("analyses", {})
+    rates_cfg = analyses.get("rates", {})
+    _require_ranges("rates", p=rates_cfg.get("p", []), gamma=rates_cfg.get("gamma", []))
+    func_cfg = analyses.get("functionals")
+    if func_cfg:
+        func_args = {k: func_cfg.get(k, v) for k, v in (("a_star", 2.0), ("p", 2.0), ("gamma", 1.0))}
+        _require_ranges("functionals", **{k: [v] for k, v in func_args.items()})
+    cfg = _sim_config(scn)
     threads = args.threads or int(os.environ.get("SUPERMART_THREADS", "1"))
     out_dir = ensure_dir(args.out or scn.get("out", "supermart_out"))
     meta = _meta(scn["master_seed"], scn)
@@ -454,12 +489,11 @@ def cmd_run(args):
         _fail(EXIT_SCHEMA, f"bad model spec: {exc}")
     _require_kind(f"kind {scn['kind']!r}", scn["kind"], gw)
 
-    analyses = scn.get("analyses", {})
     eig = None
     if model is not None:
         write_json(os.path.join(out_dir, "model.json"), model_to_json(model), meta)
         eig = _require_valid(model)
-        rates_f = analyses.get("rates", {}).get("F")
+        rates_f = rates_cfg.get("F")
         if rates_f is not None:
             # window_law_check refuses it too, but only after the simulation
             try:
@@ -468,26 +502,20 @@ def cmd_run(args):
                 _fail(EXIT_MODEL, f"rates: {exc}")
         write_json(os.path.join(out_dir, "eigen.json"), _eigen_payload(model, eig, 0.5), meta)
     else:
-        write_json(os.path.join(out_dir, "model.json"), {"kind": "gw"}, meta)
+        write_json(os.path.join(out_dir, "model.json"), gw_to_json(gw), meta)
     criteria_doc, preds = _criteria(model, gw, eig, analyses.get("criteria", {}))
     write_json(os.path.join(out_dir, "criteria.json"), criteria_doc, meta)
 
-    ens = _simulate(scn, model, gw, eig, threads)
+    ens = _simulate(scn, cfg, model, gw, eig, threads)
     _write_ensemble(out_dir, ens, meta)
 
-    func_cfg = analyses.get("functionals")
     if func_cfg:
         rows = _functional_rows(
-            ens,
-            func_cfg.get("kinds", ["A", "Atilde"]),
-            func_cfg.get("max_paths", 50),
-            func_cfg.get("a_star", 2.0),
-            func_cfg.get("p", 2.0),
-            func_cfg.get("gamma", 1.0),
+            ens, func_cfg.get("kinds", ["A", "Atilde"]), func_cfg.get("max_paths", 50), **func_args
         )
         write_curves_csv(os.path.join(out_dir, "functionals.csv"), rows, meta)
 
-    fits, checks, _ = _rates_payload(ens, eig, preds, analyses.get("rates", {}))
+    fits, checks, _ = _rates_payload(ens, eig, preds, rates_cfg)
     write_json(os.path.join(out_dir, "rates.json"), {"fits": fits, "checks": checks}, meta)
 
     frac_flagged = float(np.mean(ens.flagged))

@@ -341,12 +341,7 @@ def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
     per_p = [_p_row(p, lam, gw.moment(p), True) for p in p_values]
     per_gamma = []
     for g in gamma_values:
-        if gw.pmf is not None:
-            mom = sum(
-                k * math.log(k) ** (1.0 + g) * w for k, w in enumerate(gw.pmf) if k > 1
-            )
-        else:
-            mom = _gw_powerlaw_log_moment(gw.alpha, g)
+        mom = gw.log_moment(g)
         finite = math.isfinite(mom)
         per_gamma.append(
             {
@@ -357,14 +352,3 @@ def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
             }
         )
     return Predictions(nondegenerate=math.isfinite(gw.zlogz()), per_p=per_p, per_gamma=per_gamma)
-
-
-def _gw_powerlaw_log_moment(alpha: float, g: float, terms: int = 200000) -> float:
-    # sum k^-alpha (log k)^(1+g); converges for alpha > 1, computed by
-    # partial sum plus an integral tail estimate.
-    from scipy.special import zeta
-
-    k = np.arange(2, terms, dtype=float)
-    s = float(np.sum(k ** (-alpha) * np.log(k) ** (1.0 + g)))
-    tail = terms ** (1.0 - alpha) / (alpha - 1.0) * math.log(terms) ** (1.0 + g)
-    return (s + tail) / float(zeta(1.0 + alpha))

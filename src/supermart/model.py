@@ -14,6 +14,16 @@ supported:
 
 Divergent integrals return ``math.inf`` rather than raising: divergence is a
 meaningful verdict for the rate criteria downstream.
+
+Kernel protocol: callers use only these methods, never a kernel's class.
+``tail(t)`` (``t > 0``), ``partial_moment(k, lo, hi)`` (``0 <= lo < hi``) and
+``rmin_r2()`` integrate ``pi``; ``llogl``, ``p_moment``, ``log_moment``,
+``first_moment_tail`` and ``excess_log_tail`` integrate ``pi^phi``;
+``sample_tail_many`` and ``sample_size_biased_tail`` draw above a level and
+raise ``ModelValidationError`` on an empty tail; ``split_level`` and
+``smallest_jump`` set the engine's jump split; ``scaled``, ``to_json`` and
+``from_json`` complete it.  A new family is one class with these methods and
+one ``KERNELS`` entry (``"kind": Class``).
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import ModelValidationError
 
@@ -32,16 +43,13 @@ __all__ = [
     "RateMatrix",
     "StablePowerLaw",
     "AtomList",
+    "KERNELS",
     "BranchingMechanism",
     "Model",
     "GWModel",
     "ValidationReport",
     "validate_model",
     "seed_set",
-    "kernel_tail",
-    "kernel_partial_moment",
-    "phi_tail",
-    "sample_large_jump",
     "model_to_json",
     "model_from_json",
     "gw_to_json",
@@ -114,12 +122,16 @@ class StablePowerLaw:
 
     def tail(self, t: float) -> float:
         """``integral_t^inf pi(dr)`` = ``gamma * t**(-alpha) / alpha``."""
+        if t <= 0:
+            raise ValueError("tail needs t > 0")
         if self.gamma == 0.0:
             return 0.0
         return self.gamma * t ** (-self.alpha) / self.alpha
 
     def partial_moment(self, k: float, lo: float, hi: float) -> float:
         """``integral_lo^hi r**k pi(dr)``; ``inf`` on divergence."""
+        if not (0.0 <= lo < hi):
+            raise ValueError("need 0 <= lo < hi")
         if self.gamma == 0.0:
             return 0.0
         s = k - self.alpha  # integrand r**(s-1)
@@ -144,6 +156,22 @@ class StablePowerLaw:
     def scaled(self, factor: float) -> "StablePowerLaw":
         """The same jump sizes at ``factor`` times the rate."""
         return StablePowerLaw(gamma=self.gamma * factor, alpha=self.alpha)
+
+    def split_level(self, rate_cap: float) -> float:
+        """The ``eps`` with ``tail(eps) == rate_cap``: infinitely many small jumps
+        force a split that holds the large-jump rate down.  0 without jumps."""
+        return (self.gamma / (self.alpha * rate_cap)) ** (1.0 / self.alpha)
+
+    def smallest_jump(self) -> float:
+        """Infimum of the jump sizes; ``inf`` without jumps."""
+        return math.inf if self.gamma == 0.0 else 0.0
+
+    def to_json(self) -> dict:
+        return {"kind": "stable", "gamma": self.gamma, "alpha": self.alpha}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "StablePowerLaw":
+        return cls(gamma=obj["gamma"], alpha=obj["alpha"])
 
     # Integrals over the phi-rescaled kernel ``pi^phi``, the image of ``pi``
     # under ``r -> phi_i r``: density ``gamma phi_i**alpha r**(-1-alpha)``.
@@ -175,12 +203,10 @@ class StablePowerLaw:
         a = self.alpha
         return self.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0) ** 2
 
-    def sample_tail(self, eps: float, rng: np.random.Generator) -> float:
-        """One draw from ``pi`` restricted to ``(eps, inf)``, normalized."""
-        u = rng.random()
-        return eps * (1.0 - u) ** (-1.0 / self.alpha)
-
     def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` draws from ``pi`` restricted to ``(eps, inf)``, normalized."""
+        if self.gamma == 0.0:
+            raise ModelValidationError(f"empty tail: no kernel mass above {eps}")
         return eps * (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
 
     def sample_size_biased_tail(self, eps: float, rng: np.random.Generator) -> float:
@@ -188,6 +214,8 @@ class StablePowerLaw:
 
         Density ``propto r**(-alpha)`` there, so the tail index is ``alpha-1``.
         """
+        if self.gamma == 0.0:
+            raise ModelValidationError(f"empty tail: no kernel mass above {eps}")
         u = rng.random()
         return eps * (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
 
@@ -206,9 +234,13 @@ class AtomList:
         object.__setattr__(self, "atoms", atoms)
 
     def tail(self, t: float) -> float:
+        if t <= 0:
+            raise ValueError("tail needs t > 0")
         return sum(w for r, w in self.atoms if r > t)
 
     def partial_moment(self, k: float, lo: float, hi: float) -> float:
+        if not (0.0 <= lo < hi):
+            raise ValueError("need 0 <= lo < hi")
         return sum(w * r**k for r, w in self.atoms if lo < r <= hi)
 
     def rmin_r2(self) -> float:
@@ -217,6 +249,20 @@ class AtomList:
     def scaled(self, factor: float) -> "AtomList":
         """The same jump sizes at ``factor`` times the rate."""
         return AtomList(atoms=tuple((r, w * factor) for r, w in self.atoms))
+
+    def split_level(self, rate_cap: float) -> float:
+        """0: finitely many jumps need no split to bound their rate."""
+        return 0.0
+
+    def smallest_jump(self) -> float:
+        return min((r for r, _ in self.atoms), default=math.inf)
+
+    def to_json(self) -> dict:
+        return {"kind": "atoms", "atoms": [[r, w] for r, w in self.atoms]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "AtomList":
+        return cls(atoms=tuple((r, w) for r, w in obj["atoms"]))
 
     def _above(self, phi_i: float, t: float):
         """``(r phi_i, w)`` for the atoms of ``pi^phi`` above ``t``."""
@@ -242,9 +288,6 @@ class AtomList:
         rs, cum = _atom_table(self.atoms, eps, size_biased)
         return rs[np.minimum(np.searchsorted(cum, u * cum[-1], side="left"), len(rs) - 1)]
 
-    def sample_tail(self, eps: float, rng: np.random.Generator) -> float:
-        return float(self._inverse_cdf(eps, rng.random()))
-
     def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._inverse_cdf(eps, rng.random(n))
 
@@ -265,7 +308,7 @@ def _atom_table(atoms: tuple, eps: float, size_biased: bool):
     return rs, cum
 
 
-JumpKernel = StablePowerLaw | AtomList
+KERNELS = {"stable": StablePowerLaw, "atoms": AtomList}
 
 
 @dataclass(frozen=True)
@@ -340,8 +383,6 @@ class GWModel:
     def mean(self) -> float:
         if self.pmf is not None:
             return sum(k * p for k, p in enumerate(self.pmf))
-        from scipy.special import zeta
-
         return float(zeta(self.alpha) / zeta(1.0 + self.alpha))
 
     def moment(self, p: float) -> float:
@@ -350,25 +391,34 @@ class GWModel:
             return sum((k**p) * w for k, w in enumerate(self.pmf) if k > 0)
         if p >= self.alpha:
             return math.inf
-        from scipy.special import zeta
-
         return float(zeta(1.0 + self.alpha - p) / zeta(1.0 + self.alpha))
 
     def zlogz(self) -> float:
         """``E[Z log Z]`` (finite for every supported law)."""
         if self.pmf is not None:
             return sum(k * math.log(k) * w for k, w in enumerate(self.pmf) if k > 1)
-        from scipy.special import zeta
-
         # sum k^-alpha log(k) / zeta(1+alpha) = -zeta'(alpha)/zeta(1+alpha)
         a = self.alpha
         h = 1e-6
         dz = (zeta(a + h) - zeta(a - h)) / (2 * h)
         return float(-dz / zeta(1.0 + a))
 
+    def log_moment(self, g: float) -> float:
+        """``E[Z (log Z)^(1+g)]`` (finite for every supported law)."""
+        if self.pmf is not None:
+            return sum(k * math.log(k) ** (1.0 + g) * w for k, w in enumerate(self.pmf) if k > 1)
+        # sum k^-alpha (log k)^(1+g) / zeta(1+alpha): a partial sum plus an
+        # integral estimate of the rest
+        a = self.alpha
+        terms = 200000
+        k = np.arange(2, terms, dtype=float)
+        s = float(np.sum(k ** (-a) * np.log(k) ** (1.0 + g)))
+        tail = terms ** (1.0 - a) / (a - 1.0) * math.log(terms) ** (1.0 + g)
+        return (s + tail) / float(zeta(1.0 + a))
+
 
 # ---------------------------------------------------------------------------
-# kernel operations
+# validation
 
 
 @dataclass
@@ -387,11 +437,12 @@ def validate_model(model: Model) -> ValidationReport:
     """Check the structural assumptions that make a model usable.
 
     Reports the per-type value of ``integral (r wedge r^2) pi_i(dr)`` and
-    collects failures (non-conservative motion, negative rates, reducibility)
-    instead of aborting.  Supercriticality (``lambda > 0``) is checked later
+    collects failures (non-finite numbers, non-conservative motion, negative
+    rates, reducibility) instead of aborting.  Supercriticality (``lambda > 0``) is checked later
     by the spectral layer.
     """
-    failures = []
+    arrays = {"Q": model.motion.q, "beta": model.mech.beta, "alpha_diff": model.mech.alpha_diff}
+    failures = [f"non-finite {k}: {v.tolist()}" for k, v in arrays.items() if not np.isfinite(v).all()]
     defects = model.motion.row_sum_defects()
     if np.max(np.abs(defects)) > _ROW_SUM_TOL:
         failures.append(f"non-conservative motion: row sums {defects.tolist()}")
@@ -402,8 +453,11 @@ def validate_model(model: Model) -> ValidationReport:
     if (model.mech.alpha_diff < 0).any():
         failures.append("alpha_diff must be >= 0")
     vals = [k.rmin_r2() for k in model.mech.kernels]
-    for i, v in enumerate(vals):
-        if not math.isfinite(v):
+    for i, (kern, v) in enumerate(zip(model.mech.kernels, vals)):
+        bad = [key for key, p in kern.to_json().items() if key != "kind" and not np.isfinite(p).all()]
+        if bad:
+            failures.append(f"type {i}: non-finite kernel {', '.join(bad)}: {kern.to_json()}")
+        elif not math.isfinite(v):
             failures.append(f"type {i}: (r wedge r^2) integral diverges")
     return ValidationReport(ok=not failures, rmin_r2=vals, failures=failures)
 
@@ -423,61 +477,8 @@ def seed_set(f_set, d: int) -> list:
     return f_idx
 
 
-def kernel_tail(model: Model, i: int, t: float) -> float:
-    """``integral_t^inf pi_i(dr)`` for ``t > 0``."""
-    if t <= 0:
-        raise ValueError("kernel_tail needs t > 0")
-    return model.mech.kernels[i].tail(t)
-
-
-def kernel_partial_moment(model: Model, i: int, k: float, lo: float, hi: float) -> float:
-    """``integral_lo^hi r**k pi_i(dr)``; ``inf`` when divergent."""
-    if not (0.0 <= lo < hi):
-        raise ValueError("need 0 <= lo < hi")
-    return model.mech.kernels[i].partial_moment(k, lo, hi)
-
-
-def phi_tail(model: Model, eig, i: int, t: float) -> float:
-    """Tail of the ``phi``-rescaled kernel: ``integral_t^inf pi_i^phi(dr)``.
-
-    By the change of variables, this is ``kernel_tail(i, t / phi_i)``.
-    """
-    if t <= 0:
-        raise ValueError("phi_tail needs t > 0")
-    p = float(eig.phi[i])
-    if p <= 0:
-        raise ValueError("phi must be strictly positive")
-    return model.mech.kernels[i].tail(t / p)
-
-
-def sample_large_jump(model: Model, i: int, threshold: float, rng: np.random.Generator) -> float:
-    """One jump size from ``pi_i`` restricted to ``(threshold, inf)``.
-
-    Raises when the kernel carries no mass above the threshold.
-    """
-    kern = model.mech.kernels[i]
-    if kern.tail(threshold) <= 0:
-        raise ModelValidationError(f"empty tail: no kernel mass above {threshold}")
-    return kern.sample_tail(threshold, rng)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format (bit-exact keys)
-
-
-def _kernel_to_json(kern: JumpKernel) -> dict:
-    if isinstance(kern, StablePowerLaw):
-        return {"kind": "stable", "gamma": kern.gamma, "alpha": kern.alpha}
-    return {"kind": "atoms", "atoms": [[r, w] for r, w in kern.atoms]}
-
-
-def _kernel_from_json(obj: dict) -> JumpKernel:
-    kind = obj.get("kind")
-    if kind == "stable":
-        return StablePowerLaw(gamma=obj["gamma"], alpha=obj["alpha"])
-    if kind == "atoms":
-        return AtomList(atoms=tuple((r, w) for r, w in obj["atoms"]))
-    raise ModelValidationError(f"unknown kernel kind: {kind!r}")
 
 
 def model_to_json(model: Model) -> dict:
@@ -486,7 +487,7 @@ def model_to_json(model: Model) -> dict:
         "Q": model.motion.q.tolist(),
         "beta": model.mech.beta.tolist(),
         "alpha": model.mech.alpha_diff.tolist(),
-        "kernels": [_kernel_to_json(k) for k in model.mech.kernels],
+        "kernels": [k.to_json() for k in model.mech.kernels],
     }
 
 
@@ -494,13 +495,16 @@ def model_from_json(obj: dict | str) -> Model:
     if isinstance(obj, str):
         obj = json.loads(obj)
     d = int(obj["types"])
+    unknown = [k.get("kind") for k in obj["kernels"] if k.get("kind") not in KERNELS]
+    if unknown:
+        raise ModelValidationError(f"unknown kernel kind: {unknown[0]!r}")
     return Model(
         space=TypeSpace(d=d),
         motion=RateMatrix(q=np.asarray(obj["Q"], dtype=float)),
         mech=BranchingMechanism(
             beta=np.asarray(obj["beta"], dtype=float),
             alpha_diff=np.asarray(obj["alpha"], dtype=float),
-            kernels=tuple(_kernel_from_json(k) for k in obj["kernels"]),
+            kernels=tuple(KERNELS[k["kind"]].from_json(k) for k in obj["kernels"]),
         ),
     )
 

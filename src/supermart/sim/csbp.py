@@ -52,23 +52,18 @@ def auto_epsilon(
 ) -> float:
     """Split level so the expected large jumps per step stay near 0.1.
 
-    Solves ``tail(eps) * max_mass * dt = 0.1`` with ``max_mass`` the mean
-    total mass at the horizon (times a safety factor).  Atom-only models get
-    half the smallest atom, which makes every atom a logged large jump.
+    Each kernel's ``split_level`` solves ``tail(eps) * max_mass * dt = 0.1``
+    with ``max_mass`` the mean total mass at the horizon (times a safety
+    factor), and the largest wins.  When no kernel needs a split (finitely
+    many jumps), the level is half the smallest jump, which makes every jump
+    a logged large jump, or 1.0 for a model without jumps.
     """
-    from ..model import AtomList, StablePowerLaw
-
     max_mass = 2.0 * float(np.sum(x0)) * math.exp(max(eig.lam, 0.0) * horizon)
     rate_cap = 0.1 / (max_mass * dt)
-    eps = 0.0
-    atoms = []
-    for kern in model.mech.kernels:
-        if isinstance(kern, StablePowerLaw) and kern.gamma > 0:
-            eps = max(eps, (kern.gamma / (kern.alpha * rate_cap)) ** (1.0 / kern.alpha))
-        elif isinstance(kern, AtomList):
-            atoms.extend(r for r, _ in kern.atoms)
+    eps = max(k.split_level(rate_cap) for k in model.mech.kernels)
     if eps == 0.0:
-        eps = 0.5 * min(atoms) if atoms else 1.0
+        smallest = min(k.smallest_jump() for k in model.mech.kernels)
+        eps = 0.5 * smallest if smallest < math.inf else 1.0
     return eps
 
 
@@ -113,22 +108,6 @@ def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Immigration:
-    """Hook interface for the spine sampler; the plain process uses None.
-
-    ``prepare_chunk`` returns an opaque per-chunk context so that parallel
-    chunks never share mutable state.
-    """
-
-    extra_uniform_planes = 0
-
-    def prepare_chunk(self, pids, streams):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def step_mass(self, k, x_chunk, u_extra, streams, ctx):  # pragma: no cover
-        raise NotImplementedError
-
-
 def simulate_csbp(
     model: Model,
     eig: Eigentriple,
@@ -136,12 +115,19 @@ def simulate_csbp(
     x0: np.ndarray | None = None,
     *,
     record_masses: bool = True,
-    immigration: _Immigration | None = None,
+    immigration=None,
     threads: int = 1,
 ) -> Ensemble:
     """Simulate ``cfg.paths`` CSBP paths; see module docstring for the scheme.
 
     ``x0`` defaults to ``nu`` (so ``<phi, X_0> = 1`` and ``M_0 = 1``).
+
+    ``immigration`` is the spine sampler's hook; the plain process passes
+    None.  It provides ``extra_uniform_planes``, the number of uniform
+    planes per step it reads; ``prepare_chunk(pids, streams)``, which returns
+    an opaque per-chunk context so that parallel chunks never share mutable
+    state; and ``step_mass(k, x, u_extra, streams, ctx)``, the mass added in
+    step ``k`` given the start-of-step state and its uniform planes.
     """
     d = model.d
     x0 = eig.nu.copy() if x0 is None else np.asarray(x0, dtype=float)

@@ -123,7 +123,7 @@ def suite_eigen(n_models: int = 20, seed: int = 20240817) -> dict:
 
 def suite_transform(n_models: int = 40, seed: int = 414213) -> dict:
     """phi-transform change of variables and closed forms vs direct sums."""
-    from .model import AtomList
+    from .model import KERNELS
 
     rng = np.random.Generator(np.random.PCG64(seed))
     checks = []
@@ -133,7 +133,7 @@ def suite_transform(n_models: int = 40, seed: int = 414213) -> dict:
             (float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 2.0)))
             for _ in range(n_atoms)
         )
-        kern = AtomList(atoms=atoms)
+        kern = KERNELS["atoms"].from_json({"kind": "atoms", "atoms": atoms})
         phi_val = float(rng.uniform(0.2, 3.0))
         ok = True
         worst = 0.0

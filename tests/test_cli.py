@@ -1,11 +1,14 @@
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 from conftest import cli_env
+
+import supermart as sm
 
 BASE_MODEL = {
     "types": 1,
@@ -181,6 +184,110 @@ class TestArgumentRefusals:
         # refused before anything is simulated
         assert not (workdir / "outdir" / "paths.csv").exists()
 
+    @pytest.fixture
+    def sim_paths(self, workdir):
+        r = run_cli(
+            "simulate", "csbp", "--model", "model.json", "--paths", "5", "--seed", "3",
+            "--dt", "0.01", "--horizon", "1.0", "--out", "simout", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        return workdir
+
+    @pytest.mark.parametrize(
+        "args,needles",
+        [
+            (("rates", "--p", "0.5"), ("rates: p = 0.5 is outside (1, 2]",)),
+            (("rates", "--p", "1.2", "--gamma", "0"), ("rates: gamma = 0.0 is outside (0, inf)",)),
+            (("functionals", "--kinds", "Atilde", "--p", "0.5"), ("functionals: p = 0.5",)),
+            (("functionals", "--kinds", "A", "--a-star", "1"), ("functionals: a_star = 1.0",)),
+            (("functionals", "--kinds", "C", "--gamma", "-1"), ("functionals: gamma = -1.0",)),
+        ],
+    )
+    def test_rate_and_functional_args(self, sim_paths, args, needles):
+        r = run_cli(*args, "--paths", "simout/paths.csv", "--out", "out.x", cwd=sim_paths)
+        self._refused(r, *needles)
+        assert not (sim_paths / "out.x").exists()
+
+    @pytest.mark.parametrize(
+        "part,key,value,needles",
+        [
+            ("rates", "p", [1.2, 0.5], ("rates: p = 0.5",)),
+            ("rates", "gamma", [0.0], ("rates: gamma = 0.0",)),
+            ("functionals", "p", 2.5, ("functionals: p = 2.5",)),
+            ("functionals", "gamma", 0.0, ("functionals: gamma = 0.0",)),
+            ("functionals", "a_star", 0.5, ("functionals: a_star = 0.5",)),
+        ],
+    )
+    def test_scenario_rate_and_functional_args(self, workdir, part, key, value, needles):
+        scn = scenario()
+        scn["analyses"][part][key] = value
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        self._refused(r, *needles)
+        # refused before any artifact is written
+        assert not (workdir / "outdir").exists()
+
+
+class TestBadSimSettings:
+    """A setting the engine refuses exits 1 with a message, before any artifact."""
+
+    def test_simulate(self, workdir):
+        r = run_cli(
+            "simulate", "csbp", "--model", "model.json", "--paths", "5", "--seed", "3",
+            "--dt", "0.01", "--horizon", "0.1", "--out", "simout", cwd=workdir,
+        )
+        assert r.returncode == 1, r.stderr
+        assert "error: sim: dt must be <= 0.01 * horizon" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "simout").exists()
+
+    @pytest.mark.parametrize(
+        "kind,sim,needle",
+        [
+            ("csbp", {"dt": 0.01, "horizon": 0.1}, "sim: dt must be <= 0.01 * horizon"),
+            ("spine", {"delta": 0.5}, "sim: delta must lie in (0, 0.01]"),
+        ],
+    )
+    def test_run(self, workdir, kind, sim, needle):
+        scn = scenario(kind=kind)
+        scn["sim"].update(sim)
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 1, r.stderr
+        assert needle in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "outdir").exists()
+
+
+class TestNonFiniteModel:
+    """A NaN or infinite model number exits 2 with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            ({"beta": [math.nan]}, "non-finite beta"),
+            ({"alpha": [math.nan]}, "non-finite alpha_diff"),
+            ({"kernels": [{"kind": "stable", "gamma": math.nan, "alpha": 1.5}]},
+             "non-finite kernel gamma"),
+            ({"kernels": [{"kind": "atoms", "atoms": [[2.0, math.nan]]}]},
+             "non-finite kernel atoms"),
+        ],
+    )
+    def test_every_command_refuses(self, workdir, change, needle):
+        (workdir / "bad.json").write_text(json.dumps({**BASE_MODEL, **change}))
+        (workdir / "scn.json").write_text(json.dumps(scenario(model="bad.json")))
+        for args in (
+            ("eigen", "--model", "bad.json"),
+            ("simulate", "csbp", "--model", "bad.json", "--paths", "5", "--seed", "3",
+             "--dt", "0.01", "--horizon", "1.0", "--out", "simout"),
+            ("run", "--config", "scn.json"),
+        ):
+            r = run_cli(*args, cwd=workdir)
+            assert r.returncode == 2, (args, r.stderr)
+            assert needle in r.stderr, (args, r.stderr)
+            assert "Traceback" not in r.stderr
+        assert not (workdir / "simout").exists()
+
 
 class TestRun:
     def test_minimal_deterministic_scenario_all_consistent(self, workdir):
@@ -258,6 +365,19 @@ class TestRun:
         r = run_cli("run", "--config", "scn.json", cwd=workdir)
         assert r.returncode == 3
         assert "flagged" in r.stderr
+
+    @pytest.mark.parametrize("law", [GW_MODEL, {"kind": "gw_powerlaw", "alpha": 1.3}])
+    def test_gw_run_writes_its_law(self, workdir, law):
+        scn = {
+            "model": law, "kind": "gw", "master_seed": 4, "gw": {"generations": 4},
+            "sim": {"paths": 20}, "out": "gwout",
+        }
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((workdir / "gwout" / "model.json").read_text())
+        del doc["meta"]
+        assert sm.gw_to_json(sm.gw_from_json(doc)) == law
 
     def test_csbp_kind_with_gw_model_exit_2(self, workdir):
         scn = scenario(model=GW_MODEL)

@@ -20,7 +20,9 @@ def reference_B(model, eig, t0=10.0):
     """``uniform_tail_B`` as the per-t loop it replaced."""
     best = 0.0
     for t in reference_log_grid(t0):
-        tails = np.array([sm.phi_tail(model, eig, i, t) for i in range(model.d)])
+        tails = np.array(
+            [model.mech.kernels[i].tail(t / float(eig.phi[i])) for i in range(model.d)]
+        )
         num = np.max(tails / eig.phi)
         den = float(eig.nu @ tails)
         if den <= 0.0:

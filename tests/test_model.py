@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import integrate
 
 import supermart as sm
 from supermart.errors import ModelValidationError
-from supermart.model import AtomList, StablePowerLaw
+from supermart.model import KERNELS, AtomList, StablePowerLaw
 
 
 # ---------------------------------------------------------------------------
@@ -97,78 +98,93 @@ class TestValidateModel:
         rep = sm.validate_model(m)
         assert any("reducible" in f for f in rep.failures)
 
+    @pytest.mark.parametrize(
+        "field,change",
+        [
+            ("Q", {"Q": [[math.nan]]}),
+            ("beta", {"beta": [math.nan]}),
+            ("alpha_diff", {"alpha": [math.nan]}),
+            ("gamma", {"kernels": [{"kind": "stable", "gamma": math.nan, "alpha": 1.5}]}),
+            ("gamma", {"kernels": [{"kind": "stable", "gamma": math.inf, "alpha": 1.5}]}),
+            ("atoms", {"kernels": [{"kind": "atoms", "atoms": [[2.0, math.nan]]}]}),
+        ],
+    )
+    def test_non_finite_numbers_named(self, field, change):
+        obj = {"types": 1, "Q": [[0.0]], "beta": [1.0], "alpha": [0.2], "kernels": [STABLE]}
+        rep = sm.validate_model(sm.model_from_json({**obj, **change}))
+        assert not rep.ok
+        assert any(f"non-finite {field}" in f or f"non-finite kernel {field}" in f
+                   for f in rep.failures), rep.failures
+        assert not any("diverges" in f for f in rep.failures)
+
     def test_every_stable_alpha_accepted(self):
         for a in (1.05, 1.3, 1.5, 1.7, 1.95):
             rep = sm.validate_model(single_type({"kind": "stable", "gamma": 2.0, "alpha": a}))
             assert rep.ok
 
 
+def kernel(kernel_json):
+    return single_type(kernel_json).mech.kernels[0]
+
+
 class TestKernelTail:
     def test_stable_closed_form(self):
-        m = single_type(STABLE)
+        k = kernel(STABLE)
         oracle = quad_stable(lambda r: 1.0, 1.0, 1.5, 2.0, math.inf)
-        assert sm.kernel_tail(m, 0, 2.0) == pytest.approx(oracle, rel=1e-10)
-        assert sm.kernel_tail(m, 0, 2.0) == pytest.approx(0.23570226039551584, rel=1e-12)
+        assert k.tail(2.0) == pytest.approx(oracle, rel=1e-10)
+        assert k.tail(2.0) == pytest.approx(0.23570226039551584, rel=1e-12)
 
     def test_atoms(self):
-        m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
-        assert sm.kernel_tail(m, 0, 1.0) == 3.0
-        assert sm.kernel_tail(m, 0, 3.0) == 0.0
+        k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
+        assert k.tail(1.0) == 3.0
+        assert k.tail(3.0) == 0.0
 
     def test_zero_kernel(self):
-        m = single_type({"kind": "stable", "gamma": 0.0, "alpha": 1.5})
-        assert sm.kernel_tail(m, 0, 0.5) == 0.0
+        k = kernel({"kind": "stable", "gamma": 0.0, "alpha": 1.5})
+        assert k.tail(0.5) == 0.0
 
 
 class TestPartialMoment:
     def test_first_moment_tail(self):
-        m = single_type(STABLE)
         oracle = quad_stable(lambda r: r, 1.0, 1.5, 1.0, math.inf)
-        got = sm.kernel_partial_moment(m, 0, 1.0, 1.0, math.inf)
+        got = kernel(STABLE).partial_moment(1.0, 1.0, math.inf)
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_divergence_is_inf(self):
-        m = single_type(STABLE)
-        assert sm.kernel_partial_moment(m, 0, 2.0, 1.0, math.inf) == math.inf
-        assert sm.kernel_partial_moment(m, 0, 1.0, 0.0, 1.0) == math.inf
+        k = kernel(STABLE)
+        assert k.partial_moment(2.0, 1.0, math.inf) == math.inf
+        assert k.partial_moment(1.0, 0.0, 1.0) == math.inf
 
     def test_atom_second_moment(self):
-        m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
-        assert sm.kernel_partial_moment(m, 0, 2.0, 0.0, math.inf) == pytest.approx(12.0)
+        k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
+        assert k.partial_moment(2.0, 0.0, math.inf) == pytest.approx(12.0)
 
     def test_log_case_k_equals_alpha(self):
-        m = single_type(STABLE)
-        got = sm.kernel_partial_moment(m, 0, 1.5, 1.0, 4.0)
+        got = kernel(STABLE).partial_moment(1.5, 1.0, 4.0)
         oracle = quad_stable(lambda r: r**1.5, 1.0, 1.5, 1.0, 4.0)
         assert got == pytest.approx(oracle, rel=1e-10)
 
 
 class TestPhiTail:
-    def _eig(self, phi):
-        return sm.Eigentriple(lam=1.0, phi=np.array([phi]), nu=np.array([1.0 / phi]))
+    """The tail of ``pi^phi`` at ``t`` is ``tail(t / phi)``, by change of variables."""
 
     def test_matches_kernel_tail_change_of_variables(self):
-        m = single_type(STABLE)
-        eig = self._eig(1.0)
-        assert sm.phi_tail(m, eig, 0, 2.0) == pytest.approx(
-            sm.kernel_tail(m, 0, 2.0), rel=1e-14
-        )
+        k = kernel(STABLE)
+        assert k.tail(2.0 / 1.0) == pytest.approx(k.tail(2.0), rel=1e-14)
 
     def test_stable_closed_form_gamma2(self):
-        m = single_type({"kind": "stable", "gamma": 2.0, "alpha": 1.2})
-        eig = self._eig(0.5)
+        k = kernel({"kind": "stable", "gamma": 2.0, "alpha": 1.2})
         oracle = quad_stable(lambda r: 1.0, 2.0, 1.2, 1.0 / 0.5, math.inf)
-        got = sm.phi_tail(m, eig, 0, 1.0)
+        got = k.tail(1.0 / 0.5)
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got == pytest.approx((2.0 / 1.2) * 0.5**1.2, rel=1e-12)
         assert got == pytest.approx(0.7254588027467701, rel=1e-12)
 
     def test_atom_substitution(self):
-        m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
-        eig = self._eig(0.5)
-        assert sm.phi_tail(m, eig, 0, 0.9) == 3.0
-        assert sm.phi_tail(m, eig, 0, 1.1) == 0.0
+        k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
+        assert k.tail(0.9 / 0.5) == 3.0
+        assert k.tail(1.1 / 0.5) == 0.0
 
     @given(
         atoms=st.lists(
@@ -184,41 +200,36 @@ class TestPhiTail:
     )
     @settings(max_examples=120, deadline=None)
     def test_change_of_variables_property(self, atoms, phi, t):
-        m = single_type({"kind": "atoms", "atoms": [list(a) for a in atoms]})
-        eig = self._eig(phi)
-        assert sm.phi_tail(m, eig, 0, t) == pytest.approx(
-            sm.kernel_tail(m, 0, t / phi), abs=1e-12
-        )
+        k = kernel({"kind": "atoms", "atoms": [list(a) for a in atoms]})
+        direct = sum(w for r, w in atoms if r > t / phi)
+        assert k.tail(t / phi) == pytest.approx(direct, abs=1e-12)
 
     def test_stable_closed_form_vs_quadrature_log_grid(self):
         # relative error < 1e-8 across t in [1e-3, 1e6]
         for gamma, alpha in ((0.5, 1.1), (1.0, 1.5), (2.0, 1.9)):
-            m = single_type({"kind": "stable", "gamma": gamma, "alpha": alpha})
-            eig = self._eig(0.7)
+            k = kernel({"kind": "stable", "gamma": gamma, "alpha": alpha})
             for t in np.geomspace(1e-3, 1e6, 19):
                 oracle = quad_stable(lambda r: 1.0, gamma, alpha, t / 0.7, math.inf)
-                assert sm.phi_tail(m, eig, 0, float(t)) == pytest.approx(oracle, rel=1e-8)
+                assert k.tail(float(t) / 0.7) == pytest.approx(oracle, rel=1e-8)
 
 
 class TestSampleLargeJump:
     def test_stable_inverse_cdf_frozen(self, fixed_rng):
-        m = single_type(STABLE)
-        r = sm.sample_large_jump(m, 0, 1.0, fixed_rng([0.75]))
+        (r,) = kernel(STABLE).sample_tail_many(1.0, 1, fixed_rng([0.75]))
         # (1 - 0.75) ** (-1/1.5), cross-checked against the empirical CDF below
         assert r == pytest.approx(2.5198420997897464, rel=1e-12)
 
     def test_stable_tail_matches_dkw_band(self):
-        m = single_type(STABLE)
         rng = np.random.Generator(np.random.PCG64(7))
         n = 100_000
         eps = 1.0
-        kern = m.mech.kernels[0]
+        kern = kernel(STABLE)
         samples = kern.sample_tail_many(eps, n, rng)
         # DKW band at confidence 0.999
         band = math.sqrt(math.log(2.0 / 0.001) / (2 * n))
-        denom = sm.kernel_tail(m, 0, eps)
+        denom = kern.tail(eps)
         for t in np.geomspace(1.0, 50.0, 20):
-            target = sm.kernel_tail(m, 0, float(t)) / denom
+            target = kern.tail(float(t)) / denom
             emp = float(np.mean(samples > t))
             assert abs(emp - target) <= band
 
@@ -249,7 +260,7 @@ class TestSampleLargeJump:
         for eps in (0.25, 1.0, 2.5):
             u = np.random.Generator(np.random.PCG64(3)).random(400)
             rng = np.random.Generator(np.random.PCG64(3))
-            got = [kern.sample_tail(eps, rng) for _ in range(200)]
+            got = kern.sample_tail_many(eps, 200, rng).tolist()
             got += kern.sample_tail_many(eps, 200, rng).tolist()
             assert got == [reference(eps, v, False) for v in u]
             rng = np.random.Generator(np.random.PCG64(3))
@@ -257,9 +268,55 @@ class TestSampleLargeJump:
             assert got == [reference(eps, v, True) for v in u]
 
     def test_empty_tail_raises(self):
-        m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
+        k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
         with pytest.raises(ModelValidationError, match="empty tail"):
-            sm.sample_large_jump(m, 0, 3.0, np.random.default_rng(0))
+            k.sample_tail_many(3.0, 1, np.random.default_rng(0))
+        with pytest.raises(ModelValidationError, match="empty tail"):
+            k.sample_size_biased_tail(3.0, np.random.default_rng(0))
+
+    def test_empty_stable_tail_raises(self):
+        k = kernel({"kind": "stable", "gamma": 0.0, "alpha": 1.5})
+        with pytest.raises(ModelValidationError, match="empty tail"):
+            k.sample_tail_many(1.0, 1, np.random.default_rng(0))
+        with pytest.raises(ModelValidationError, match="empty tail"):
+            k.sample_size_biased_tail(1.0, np.random.default_rng(0))
+
+
+# one instance per registered kind; a new kind needs an entry here
+KERNEL_EXAMPLES = {
+    "stable": {"kind": "stable", "gamma": 0.30000000000000004, "alpha": 1.2345678901234567},
+    "atoms": {"kind": "atoms", "atoms": [[0.1, 0.30000000000000004], [7.000000000000001, 2.0]]},
+}
+KERNEL_PROTOCOL = (
+    "tail", "partial_moment", "rmin_r2", "scaled", "llogl", "p_moment", "log_moment",
+    "first_moment_tail", "excess_log_tail", "sample_tail_many", "sample_size_biased_tail",
+    "split_level", "smallest_jump", "to_json", "from_json",
+)
+
+
+class TestKernelProtocol:
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_registry_entry(self, kind):
+        cls = KERNELS[kind]
+        obj = KERNEL_EXAMPLES[kind]
+        assert all(callable(getattr(cls, name, None)) for name in KERNEL_PROTOCOL)
+        kern = cls.from_json(obj)
+        assert isinstance(kern, cls)
+        assert json.dumps(kern.to_json()) == json.dumps(obj)
+        model = single_type(obj)
+        assert json.dumps(sm.model_to_json(model)["kernels"][0]) == json.dumps(obj)
+        with pytest.raises(ModelValidationError, match="unknown kernel kind"):
+            single_type({**obj, "kind": kind + "_unknown"})
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_domain_checks(self, kind):
+        kern = KERNELS[kind].from_json(KERNEL_EXAMPLES[kind])
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t > 0"):
+                kern.tail(t)
+        for lo, hi in ((-1.0, 1.0), (2.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="0 <= lo < hi"):
+                kern.partial_moment(1.0, lo, hi)
 
 
 class TestJsonRoundTrip:

@@ -112,8 +112,43 @@ class TestJumps:
         eps = sm.auto_epsilon(stable1, eig, x0, dt=0.001, horizon=2.0)
         # expected large jumps per step at the max-mass scale is about 0.1
         max_mass = 2.0 * float(np.sum(x0)) * math.exp(eig.lam * 2.0)
-        rate = sm.kernel_tail(stable1, 0, eps) * max_mass * 0.001
+        rate = stable1.mech.kernels[0].tail(eps) * max_mass * 0.001
         assert rate == pytest.approx(0.1, rel=1e-6)
+
+    STABLE = {"kind": "stable", "gamma": 1.0, "alpha": 1.5}
+    NO_JUMPS = {"kind": "stable", "gamma": 0.0, "alpha": 1.5}
+
+    @pytest.mark.parametrize(
+        "kernels,expected",
+        [
+            # atom-only: half the smallest atom of any type
+            ([{"kind": "atoms", "atoms": [[2.0, 3.0]]},
+              {"kind": "atoms", "atoms": [[5.0, 0.1], [0.8, 1.0]]}], 0.4),
+            # a stable kernel with gamma = 0 has no jumps: the atoms decide
+            ([NO_JUMPS, {"kind": "atoms", "atoms": [[0.5, 0.8]]}], 0.25),
+            # no jumps at all
+            ([NO_JUMPS, NO_JUMPS], 1.0),
+            # mixed: the stable rate rule alone, the atoms are ignored
+            ([STABLE, {"kind": "atoms", "atoms": [[0.5, 0.8]]}], "stable"),
+        ],
+    )
+    def test_auto_epsilon_split_rule(self, kernels, expected):
+        model = sm.model_from_json(
+            {
+                "types": 2,
+                "Q": [[-1.0, 1.0], [1.0, -1.0]],
+                "beta": [1.2, 0.8],
+                "alpha": [0.5, 0.5],
+                "kernels": kernels,
+            }
+        )
+        eig = sm.principal_eigentriple(model)
+        eps = sm.auto_epsilon(model, eig, eig.nu, dt=0.004, horizon=12.0)
+        if expected == "stable":
+            max_mass = 2.0 * float(np.sum(eig.nu)) * math.exp(eig.lam * 12.0)
+            rate_cap = 0.1 / (max_mass * 0.004)
+            expected = (1.0 / (1.5 * rate_cap)) ** (1.0 / 1.5)
+        assert eps == expected
 
 
 class TestStepRejection:
