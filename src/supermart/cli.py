@@ -480,18 +480,15 @@ def cmd_run(args):
         _require_ranges("functionals", **{k: [v] for k, v in func_args.items()})
     cfg = _sim_config(scn)
     threads = args.threads or int(os.environ.get("SUPERMART_THREADS", "1"))
-    out_dir = ensure_dir(args.out or scn.get("out", "supermart_out"))
-    meta = _meta(scn["master_seed"], scn)
 
+    # a model the package refuses (ModelValidationError) reaches main: exit 2
     try:
         model, gw = _resolve_model(scn["model"])
-    except (SupermartError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, json.JSONDecodeError) as exc:
         _fail(EXIT_SCHEMA, f"bad model spec: {exc}")
     _require_kind(f"kind {scn['kind']!r}", scn["kind"], gw)
-
     eig = None
     if model is not None:
-        write_json(os.path.join(out_dir, "model.json"), model_to_json(model), meta)
         eig = _require_valid(model)
         rates_f = rates_cfg.get("F")
         if rates_f is not None:
@@ -500,6 +497,11 @@ def cmd_run(args):
                 seed_set(rates_f, model.d)
             except ValueError as exc:
                 _fail(EXIT_MODEL, f"rates: {exc}")
+
+    out_dir = ensure_dir(args.out or scn.get("out", "supermart_out"))
+    meta = _meta(scn["master_seed"], scn)
+    if model is not None:
+        write_json(os.path.join(out_dir, "model.json"), model_to_json(model), meta)
         write_json(os.path.join(out_dir, "eigen.json"), _eigen_payload(model, eig, 0.5), meta)
     else:
         write_json(os.path.join(out_dir, "model.json"), gw_to_json(gw), meta)

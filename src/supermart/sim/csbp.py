@@ -5,8 +5,12 @@ Scheme per step of size ``h`` from state ``X`` (one row per path):
 * deterministic part: the exact one-step mean map ``X @ expm(h (Q + diag b))``
   (this, together with compensating large jumps at the start-of-step state,
   makes the scheme's ensemble mean exact, not just first-order accurate);
-* small jumps (size <= epsilon) and continuous branching: one Gaussian with
-  variance ``(alpha_diff_i + int_0^eps r^2 pi_i) X_i h`` per type;
+* small jumps (size <= epsilon) and continuous branching: per type one
+  increment with the step's own end-of-step variance ``X @ var_map``, where
+  ``var_map[k, j] = sum_i int_0^h P_s[k, i] c_i P_{h-s}[i, j]^2 ds`` with
+  ``P_s = expm(s (Q + diag b))`` and ``c_i = alpha_diff_i + int_0^eps r^2 pi_i``:
+  the diagonal of the covariance of the noise born in type ``i`` during the
+  step and carried to type ``j`` by the mean map;
 * large jumps: per type a Poisson count with mean ``X_i h int_eps^inf pi_i``,
   sizes drawn from the normalized tail, compensated by
   ``- X_i h int_eps^inf r pi_i`` (folded into the deterministic part, so the
@@ -20,11 +24,15 @@ six standard deviations) a Gaussian step would be clipped so often that the
 accounting budget could not hold, so the increment switches to a compound
 Poisson-exponential draw matched to the same mean and variance.  That
 distribution is the exact quadratic-branching transition shape: nonnegative,
-with a genuine atom at 0, so absorption emerges without clipping.
+with a genuine atom at 0, so absorption emerges without clipping; for one
+type without jumps it is the exact Feller transition.
 
-A step whose drift+diffusion increment moves any live coordinate by more
-than 50% is redone with two half steps (fresh noise from the dedicated
-rejection stream, so the redo does not disturb any other draw).
+The variance has to be the end-of-step one.  A type that is empty at the
+start of a step but fed by the motion has a positive mean and, under the
+start-of-step Euler variance ``c_i X_i h``, no noise at all: it would always
+come out positive, the types would take turns dying, and joint extinction
+would come out far too rare.  With the step's own variance the inflow can
+die within the same step.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .records import CHUNK_PATHS, Ensemble, SimConfig, path_streams
 __all__ = ["simulate_csbp", "auto_epsilon"]
 
 _CLIP_BUDGET = 1e-6
-_REJECT_FRAC = 0.5
 _POIS_VECTOR_CAP = 25.0
 _SMALL_Z2 = 36.0  # Gaussian branch needs mean >= 6 sigma to keep clipping negligible
 
@@ -114,7 +121,6 @@ def simulate_csbp(
     cfg: SimConfig,
     x0: np.ndarray | None = None,
     *,
-    record_masses: bool = True,
     immigration=None,
     threads: int = 1,
 ) -> Ensemble:
@@ -144,13 +150,18 @@ def simulate_csbp(
     diff_coef = model.mech.alpha_diff + m2_small
     rate_h = rate_large * h
     m1_h = m1_large * h
-    diff_h = diff_coef * h
     has_jumps = bool((rate_large > 0).any())
 
     gen = generator_matrix(model)
     prop = linalg.expm(h * gen)
-    prop_half = linalg.expm(0.5 * h * gen)
+    # var_map of the module docstring by 8-node Gauss-Legendre, exact to
+    # round-off where h |gen| is small; the nodes are symmetric, so the
+    # flows at h - s are the flows at s reversed
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    flows = linalg.expm((0.5 * h * (nodes + 1.0))[:, None, None] * gen)
+    var_map = 0.5 * h * np.einsum("n,nki,i,nij->kj", weights, flows, diff_coef, flows[::-1] ** 2)
     prop_scalar = float(prop[0, 0]) if d == 1 else None
+    var_scalar = float(var_map[0, 0]) if d == 1 else None
 
     rec_idx = list(range(0, n_steps + 1, cfg.record_stride))
     if rec_idx[-1] != n_steps:
@@ -159,12 +170,11 @@ def simulate_csbp(
     n_rec = len(rec_idx)
     times = np.array(rec_idx, dtype=float) * h
 
-    masses = np.empty((cfg.paths, n_rec, d)) if record_masses else None
+    masses = np.empty((cfg.paths, n_rec, d))
     m_out = np.empty((cfg.paths, n_rec))
     clipped = np.zeros(cfg.paths)
     jumps: list | None = [None] * cfg.paths if cfg.log_jumps else None
 
-    floor_mass = 1e-9 * float(np.sum(x0))
     total0 = float(np.sum(x0))
 
     chunks = [
@@ -200,22 +210,9 @@ def simulate_csbp(
             det = x * prop_scalar if prop_scalar is not None else x @ prop
             if has_jumps:
                 det = det - x * m1_h
-            var = diff_h * x
+            var = x * var_scalar if var_scalar is not None else x @ var_map
             small = det * det < _SMALL_Z2 * var
             x_new = det + np.sqrt(var) * g[:, k, :]
-
-            # rejection redo (Gaussian branch only): increment beyond 50%
-            bad = (np.abs(x_new - x) > _REJECT_FRAC * x + floor_mass) & ~small
-            if bad.any():
-                for j in np.nonzero(bad.any(axis=1))[0]:
-                    y = x[j]
-                    rng = streams[j, "reject"]
-                    for _ in range(2):
-                        y = y @ prop_half - y * (0.5 * m1_h)
-                        y = y + np.sqrt(0.5 * diff_h * y) * rng.standard_normal(d)
-                        clip_acc[j] -= np.minimum(y, 0.0).sum()
-                        y = np.maximum(y, 0.0)
-                    x_new[j] = y
 
             # near-absorption branch: matched compound Poisson-exponential
             if small.any():
@@ -277,8 +274,7 @@ def simulate_csbp(
 
     for pids, mass_rec, m_chunk, clip_acc, jump_logs in results:
         sl = slice(pids.start, pids.stop)
-        if record_masses:
-            masses[sl] = mass_rec
+        masses[sl] = mass_rec
         m_out[sl] = m_chunk
         clipped[sl] = clip_acc
         if cfg.log_jumps:

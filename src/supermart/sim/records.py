@@ -2,9 +2,11 @@
 
 Reproducibility contract: every path owns private RNG streams derived from
 ``SeedSequence([master_seed, path_id])``, split into fixed roles (gaussians,
-event counts, event sizes, step-rejection redraws, spine motion).  Draw
+event counts, event sizes, near-absorption draws, spine motion).  Draw
 order within each stream is fixed by the engine, so results are bit-identical
-for any path-chunking or thread count.
+for any path-chunking or thread count.  The near-absorption role keeps the
+name ``reject``, from a step-rejection redo the engine no longer has, and its
+index, so the roles after it keep their seeds.
 
 The stream of role ``r`` is the ``PCG64`` that
 ``SeedSequence(entropy=[master_seed, path_id], spawn_key=(r,))`` seeds, but

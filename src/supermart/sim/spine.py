@@ -167,7 +167,6 @@ def simulate_spine(
     cfg: SpineConfig,
     x0: np.ndarray | None = None,
     *,
-    record_masses: bool = True,
     threads: int = 1,
 ) -> SpineResult:
     """Simulate the size-biased process; see the module docstring.
@@ -184,15 +183,7 @@ def simulate_spine(
             stacklevel=2,
         )
     imm = _SpineImmigration(model, eig, cfg, x0)
-    ens = simulate_csbp(
-        model,
-        eig,
-        cfg,
-        x0=x0,
-        record_masses=record_masses,
-        immigration=imm,
-        threads=threads,
-    )
+    ens = simulate_csbp(model, eig, cfg, x0=x0, immigration=imm, threads=threads)
     occ = np.concatenate(
         [imm.occupation_chunks[k] for k in sorted(imm.occupation_chunks)], axis=0
     )

@@ -343,6 +343,56 @@ class TestRun:
         assert r.returncode == 2
         assert "non-conservative" in r.stderr
 
+    def test_invalid_kernel_exit_2_before_any_artifact(self, workdir):
+        # the same refusal, and exit code, as the subcommands give
+        kernel = {"kind": "stable", "gamma": 0.5, "alpha": 2.5}
+        scn = scenario(model=dict(BASE_MODEL, kernels=[kernel]))
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "alpha in (1, 2)" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "outdir").exists()
+
+    def test_unreadable_model_file_exit_1(self, workdir):
+        (workdir / "scn.json").write_text(json.dumps(scenario(model="missing.json")))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 1, r.stderr
+        assert "bad model spec" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "outdir").exists()
+
+    def test_readme_two_type_scenario_flags_under_1_percent(self, workdir):
+        # the README model and scenario at 1000 paths: a stable type next to
+        # an atom type, where one type often empties while the other feeds it
+        readme_model = {
+            "types": 2,
+            "Q": [[-1.0, 1.0], [1.0, -1.0]],
+            "beta": [1.2, 0.8],
+            "alpha": [0.5, 0.5],
+            "kernels": [
+                {"kind": "stable", "gamma": 1.0, "alpha": 1.5},
+                {"kind": "atoms", "atoms": [[0.5, 0.8]]},
+            ],
+        }
+        scn = {
+            "model": readme_model,
+            "kind": "csbp",
+            "master_seed": 7,
+            "sim": {"dt": 0.004, "horizon": 12.0, "paths": 1000, "record_stride": 5},
+            "analyses": {
+                "criteria": {"p": [1.2, 1.8], "gamma": [1.0], "F": [0]},
+                "functionals": {"kinds": ["A", "Atilde"], "p": 2.0, "a_star": 2.0, "max_paths": 50},
+                "rates": {"p": [1.2, 1.8], "gamma": [1.0], "F": [0]},
+            },
+            "out": "readme",
+        }
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        summary = json.loads((workdir / "readme" / "summary.json").read_text())
+        assert summary["flagged_fraction"] < 0.01
+
     def test_subcritical_exit_2(self, workdir):
         bad_model = dict(BASE_MODEL, beta=[-2.0])
         scn = scenario(model=bad_model)

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import supermart as sm
+
+FELLER2 = {
+    "types": 2,
+    "Q": [[-1.0, 1.0], [1.0, -1.0]],
+    "beta": [1.2, 0.8],
+    "alpha": [4.0, 1.0],
+    "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
+}
 
 
 def feller_var(a, b, x0, t):
@@ -15,6 +24,20 @@ def feller_extinction(a, b, x0, t):
     """P(X_t = 0) = exp(-x0 v_t), v' = beta v - (alpha/2) v^2 from infinity."""
     v_t = (2.0 * b / (2.0 * a)) / (1.0 - math.exp(-b * t))
     return math.exp(-x0 * v_t)
+
+
+def feller2_extinction(x0, times):
+    """Laplace-ODE oracle of FELLER2: P(X_t = 0) = exp(-<x0, v_t>).
+
+    ``v' = Q v + beta v - (alpha/2) v^2`` from ``v_0 = inf``, approximated
+    by ``v_0 = 1e9``: the finite start moves ``v_t`` by about ``v_t^2 / 1e9``.
+    """
+    q, b, a = (np.array(FELLER2[k]) for k in ("Q", "beta", "alpha"))
+    sol = solve_ivp(
+        lambda t, v: q @ v + b * v - 0.5 * a * v * v,
+        (0.0, max(times)), [1e9, 1e9], method="Radau", rtol=1e-10, atol=1e-12, t_eval=times,
+    )
+    return np.exp(-(x0 @ sol.y))
 
 
 class TestNoiselessFlow:
@@ -57,14 +80,34 @@ class TestFellerMoments:
         assert abs(ext - ext_target) <= 4 * sigma
 
     def test_no_clipping_no_flags(self, feller1):
-        eig = sm.principal_eigentriple(feller1)
         cfg = sm.SimConfig(
             dt=0.005, horizon=1.0, paths=5_000, master_seed=12,
             epsilon=10.0, record_stride=20, log_jumps=False,
         )
-        ens = sm.simulate_csbp(feller1, eig, cfg, x0=np.array([1.0]))
-        assert float(ens.clipped.max()) == 0.0
+        # two types from [1, 0]: the empty type is fed by the motion from the
+        # first step on
+        for model, x0 in ((feller1, [1.0]), (sm.model_from_json(FELLER2), [1.0, 0.0])):
+            ens = sm.simulate_csbp(model, sm.principal_eigentriple(model), cfg, x0=np.array(x0))
+            assert float(ens.clipped.max()) == 0.0, x0
+            assert not ens.flagged.any(), x0
+
+    def test_two_type_extinction(self):
+        # joint extinction needs every type to die; a type emptied but fed
+        # by the motion must be able to die again within a step
+        model = sm.model_from_json(FELLER2)
+        eig = sm.principal_eigentriple(model)
+        cfg = sm.SimConfig(
+            dt=0.004, horizon=1.0, paths=20_000, master_seed=5,
+            record_stride=125, log_jumps=False,
+        )
+        ens = sm.simulate_csbp(model, eig, cfg)
         assert not ens.flagged.any()
+        times = [0.5, 1.0]
+        for t_val, p in zip(times, feller2_extinction(eig.nu, times)):
+            idx = int(np.argmin(np.abs(ens.times - t_val)))
+            ext = float(np.mean((ens.masses[:, idx, :] == 0.0).all(axis=1)))
+            z = (ext - p) / math.sqrt(p * (1 - p) / ens.M.shape[0])
+            assert abs(z) <= 4.0, (t_val, ext, p)
 
 
 class TestMartingaleMean:
@@ -153,7 +196,8 @@ class TestJumps:
 
 class TestStepRejection:
     def test_violent_config_stays_finite_and_unbiased(self):
-        # large diffusion with a coarse step triggers the 50% redo path
+        # large diffusion with a coarse step: increments rival the mass, so
+        # every cell below a mass of about 3 takes the near-absorption draw
         m = sm.model_from_json(
             {
                 "types": 1,
