@@ -118,11 +118,6 @@ SCENARIO_SCHEMA = {
     },
 }
 
-_THREADS_HELP = (
-    "engine threads; output is byte-identical for any count, and as the path chunks "
-    "are GIL-bound, 2 threads measured slower than 1 on 2 cores"
-)
-
 EXIT_SCHEMA = 1
 EXIT_MODEL = 2
 EXIT_NUMERIC = 3
@@ -228,6 +223,11 @@ def _criteria(model, gw, eig, cfg: dict):
     return report.as_dict(), report.predictions
 
 
+def _paths(scn: dict) -> int:
+    """Paths of a scenario of any kind: ``sim.paths``, 1000 by default."""
+    return scn.get("sim", {}).get("paths", 1000)
+
+
 def _sim_config(scn: dict):
     """Engine config of a CSBP or spine scenario (None for GW); exit 1 if refused."""
     kind = scn["kind"]
@@ -237,7 +237,7 @@ def _sim_config(scn: dict):
     base = {
         "dt": sim.get("dt", 0.005),
         "horizon": sim.get("horizon", 4.0),
-        "paths": sim.get("paths", 1000),
+        "paths": _paths(scn),
         "master_seed": scn["master_seed"],
         "epsilon": sim.get("epsilon"),
         "record_stride": sim.get("record_stride", 1),
@@ -253,15 +253,15 @@ def _sim_config(scn: dict):
         _fail(EXIT_SCHEMA, f"sim: {exc}")
 
 
-def _simulate(scn: dict, cfg, model, gw, eig, threads: int):
+def _simulate(scn: dict, cfg, model, gw, eig):
     kind = scn["kind"]
     if kind == "gw":
         gens = scn.get("gw", {}).get("generations", 20)
-        return simulate_gw(gw, gens, scn["sim"]["paths"], scn["master_seed"])
+        return simulate_gw(gw, gens, _paths(scn), scn["master_seed"])
     x0 = np.asarray(scn["x0"], dtype=float) if "x0" in scn else None
     if kind == "spine":
-        return simulate_spine(model, eig, cfg, x0=x0, threads=threads).ensemble
-    return simulate_csbp(model, eig, cfg, x0=x0, threads=threads)
+        return simulate_spine(model, eig, cfg, x0=x0).ensemble
+    return simulate_csbp(model, eig, cfg, x0=x0)
 
 
 def _write_ensemble(out_dir: str, ens, meta: dict) -> str:
@@ -423,7 +423,7 @@ def cmd_simulate(args):
     model, gw = _resolve_model(args.model)
     _require_kind(f"simulate {args.kind}", args.kind, gw)
     eig = _require_valid(model) if model is not None else None
-    ens = _simulate(scn, cfg, model, gw, eig, args.threads)
+    ens = _simulate(scn, cfg, model, gw, eig)
     print(_write_ensemble(ensure_dir(args.out or "."), ens, _meta(args.seed, scn)))
 
 
@@ -479,7 +479,6 @@ def cmd_run(args):
         func_args = {k: func_cfg.get(k, v) for k, v in (("a_star", 2.0), ("p", 2.0), ("gamma", 1.0))}
         _require_ranges("functionals", **{k: [v] for k, v in func_args.items()})
     cfg = _sim_config(scn)
-    threads = args.threads or int(os.environ.get("SUPERMART_THREADS", "1"))
 
     # a model the package refuses (ModelValidationError) reaches main: exit 2
     try:
@@ -508,7 +507,7 @@ def cmd_run(args):
     criteria_doc, preds = _criteria(model, gw, eig, analyses.get("criteria", {}))
     write_json(os.path.join(out_dir, "criteria.json"), criteria_doc, meta)
 
-    ens = _simulate(scn, cfg, model, gw, eig, threads)
+    ens = _simulate(scn, cfg, model, gw, eig)
     _write_ensemble(out_dir, ens, meta)
 
     if func_cfg:
@@ -568,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.005)
     p.add_argument("--horizon", type=float, default=4.0)
     p.add_argument("--record-stride", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -594,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full scenario: simulate + analyze + summarize")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help=_THREADS_HELP + "; default $SUPERMART_THREADS or 1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 

@@ -3,7 +3,7 @@
 Every artifact opens with a metadata block (tool version, config hash, master
 seed) and is written deterministically: sorted JSON keys, 17-significant-digit
 floats, no timestamps.  Identical config + seed must produce byte-identical
-files regardless of thread count.
+files.
 """
 
 from __future__ import annotations
@@ -132,7 +132,10 @@ def _read_csv(path: str):
         if not fh.readline():  # a jump log may have no rows
             return meta, header, np.empty((0, len(header)))
         fh.seek(start)
-        return meta, header, np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            return meta, header, np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise SupermartError(f"{path}: {exc}") from None
 
 
 def read_paths_csv(path: str):
@@ -155,9 +158,15 @@ def read_paths_csv(path: str):
         raise SupermartError(f"{path}: bad lambda or phi in metadata: {exc}") from None
     if len(phi) != d:
         raise SupermartError(f"{path}: metadata phi has {len(phi)} entries for {d} types")
-    n_paths = int(data[-1, 0]) + 1  # rows come path by path
-    n_times = len(data) // n_paths
+    # rows come path by path, every path on the same times
+    n_paths = int(data[-1, 0]) + 1 if len(data) else 0
+    n_times = len(data) // max(n_paths, 1)
     times = data[:n_times, 1]
+    ids = np.repeat(np.arange(n_paths), n_times)
+    if n_times == 0 or not (
+        np.array_equal(data[:, 0], ids) and np.array_equal(data[:, 1], np.tile(times, n_paths))
+    ):
+        raise SupermartError(f"{path}: rows are not one block of the same times per path id")
     masses = data[:, 2 : 2 + d].reshape(n_paths, n_times, d)
     m = data[:, 2 + d].reshape(n_paths, n_times)
     jumps = None

@@ -131,10 +131,15 @@ def simulate_csbp(
     ``immigration`` is the spine sampler's hook; the plain process passes
     None.  It provides ``extra_uniform_planes``, the number of uniform
     planes per step it reads; ``prepare_chunk(pids, streams)``, which returns
-    an opaque per-chunk context so that parallel chunks never share mutable
-    state; and ``step_mass(k, x, u_extra, streams, ctx)``, the mass added in
-    step ``k`` given the start-of-step state and its uniform planes.
+    an opaque per-chunk context; and ``step_mass(k, x, u_extra, streams,
+    ctx)``, the mass added in step ``k`` given the start-of-step state and
+    its uniform planes.
+
+    The paths run in fixed chunks of ``CHUNK_PATHS``, one after the other.
+    ``threads`` is accepted for callers that still pass it, and only as 1.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}: the engine runs its chunks in order")
     d = model.d
     x0 = eig.nu.copy() if x0 is None else np.asarray(x0, dtype=float)
     h = cfg.dt
@@ -174,24 +179,20 @@ def simulate_csbp(
     m_out = np.empty((cfg.paths, n_rec))
     clipped = np.zeros(cfg.paths)
     jumps: list | None = [None] * cfg.paths if cfg.log_jumps else None
-
     total0 = float(np.sum(x0))
-
-    chunks = [
-        range(start, min(start + CHUNK_PATHS, cfg.paths))
-        for start in range(0, cfg.paths, CHUNK_PATHS)
-    ]
 
     # uniform plane layout per step: large-jump counts (only when the model
     # jumps), then near-absorption counts, then immigration counts
     n_jump_planes = d if has_jumps else 0
     small_lo = n_jump_planes
+    extra = immigration.extra_uniform_planes if immigration is not None else 0
+    n_planes = n_jump_planes + d + extra
+    decay = np.exp(-eig.lam * times)[None, :]
 
-    def run_chunk(pids):
+    for start in range(0, cfg.paths, CHUNK_PATHS):
+        pids = range(start, min(start + CHUNK_PATHS, cfg.paths))
         c = len(pids)
         streams = path_streams(cfg.master_seed, pids)
-        extra = immigration.extra_uniform_planes if immigration is not None else 0
-        n_planes = n_jump_planes + d + extra
         g = np.empty((c, n_steps, d))
         u = np.empty((c, n_steps, n_planes))
         for j in range(c):  # each drawn from once: not kept
@@ -199,10 +200,11 @@ def simulate_csbp(
             u[j] = streams.fresh(j, "counts").random((n_steps, n_planes))
         imm_ctx = immigration.prepare_chunk(pids, streams) if immigration is not None else None
 
-        x = np.tile(x0, (c, 1))
-        clip_acc = np.zeros(c)
+        # views of this chunk's rows of the outputs, filled in place
+        mass_rec = masses[start : pids.stop]
+        clip_acc = clipped[start : pids.stop]
         jump_logs = [[] for _ in range(c)] if cfg.log_jumps else None
-        mass_rec = np.empty((c, n_rec, d))
+        x = np.tile(x0, (c, 1))
         mass_rec[:, 0, :] = x
 
         for k in range(n_steps):
@@ -261,29 +263,13 @@ def simulate_csbp(
             if pos is not None:
                 mass_rec[:, pos, :] = x
 
-        m_chunk = np.exp(-eig.lam * times)[None, :] * (mass_rec @ eig.phi)
-        return pids, mass_rec, m_chunk, clip_acc, jump_logs
-
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(pids) for pids in chunks]
-
-    for pids, mass_rec, m_chunk, clip_acc, jump_logs in results:
-        sl = slice(pids.start, pids.stop)
-        masses[sl] = mass_rec
-        m_out[sl] = m_chunk
-        clipped[sl] = clip_acc
+        m_out[start : pids.stop] = decay * (mass_rec @ eig.phi)
         if cfg.log_jumps:
-            for j, pid in enumerate(pids):
-                if jump_logs[j]:
-                    arr = np.array(jump_logs[j], dtype=float)
-                    jumps[pid] = arr[np.argsort(arr[:, 0], kind="stable")]
-                else:
-                    jumps[pid] = np.empty((0, 3))
+            for pid, log in zip(pids, jump_logs):
+                arr = np.array(log, dtype=float).reshape(-1, 3)
+                jumps[pid] = arr[np.argsort(arr[:, 0], kind="stable")]
+        # free this chunk's planes before the next chunk draws its own
+        del g, u, imm_ctx
 
     flagged = clipped > _CLIP_BUDGET * total0 * cfg.horizon
     return Ensemble(

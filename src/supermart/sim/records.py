@@ -1,12 +1,16 @@
 """Simulation configs, per-path records, and ensemble containers.
 
-Reproducibility contract: every path owns private RNG streams derived from
+Reproducibility contract: outputs depend on the config and the master seed,
+not on the chunk size.  Every path owns private RNG streams derived from
 ``SeedSequence([master_seed, path_id])``, split into fixed roles (gaussians,
-event counts, event sizes, near-absorption draws, spine motion).  Draw
-order within each stream is fixed by the engine, so results are bit-identical
-for any path-chunking or thread count.  The near-absorption role keeps the
-name ``reject``, from a step-rejection redo the engine no longer has, and its
-index, so the roles after it keep their seeds.
+event counts, event sizes, near-absorption draws, spine motion), and the
+engine fixes the draw order within each stream.  One exception: with four or
+more types, a chunk of exactly one path has numpy take ``x @ prop`` and
+``x @ var_map`` as matrix-vector products, which sum in another order, so
+that path's masses may differ in the last bits (up to 2e-15 relative).  The
+near-absorption role keeps the name ``reject``, from a step-rejection redo
+the engine no longer has, and its index, so the roles after it keep their
+seeds.
 
 The stream of role ``r`` is the ``PCG64`` that
 ``SeedSequence(entropy=[master_seed, path_id], spawn_key=(r,))`` seeds, but
@@ -40,8 +44,8 @@ __all__ = [
     "CHUNK_PATHS",
 ]
 
-# Fixed path-chunk size for vectorized engines; must never depend on the
-# thread count or the outputs would not be reproducible across machines.
+# Fixed path-chunk size of the vectorized engines; it bounds the memory of a
+# chunk's pre-drawn planes and must never depend on the machine.
 CHUNK_PATHS = 4096
 
 _STREAM_ROLES = ("gauss", "counts", "sizes", "reject", "spine")

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import ModelValidationError
 from ..model import Model, RateMatrix
 from ..spectral import Eigentriple
-from .csbp import simulate_csbp
+from .csbp import _poisson_counts, simulate_csbp
 from .records import Ensemble, SpineConfig
 
 __all__ = ["tilted_generator", "simulate_spine", "SpineResult"]
@@ -86,7 +86,7 @@ class _SpineImmigration:
             [k.partial_moment(1.0, cfg.delta_floor, math.inf) for k in model.mech.kernels]
         )
         self.cont_rate = model.mech.alpha_diff / cfg.delta
-        self.occupation_chunks: dict = {}
+        self.occupation = np.empty((cfg.paths, self.d))
 
     def _simulate_spine_path(self, rng) -> np.ndarray:
         """Type index at the start of each step, via the embedded chain."""
@@ -110,17 +110,16 @@ class _SpineImmigration:
         return out
 
     def prepare_chunk(self, pids, streams):
+        """Spine type per step of each path in ``pids``; fills their ``occupation`` rows."""
         types = np.empty((len(pids), self.n_steps), dtype=np.int8)
         for j in range(len(pids)):
             types[j] = self._simulate_spine_path(streams.fresh(j, "spine"))
-        occ = np.stack([(types == i).mean(axis=1) for i in range(self.d)], axis=1)
-        self.occupation_chunks[pids.start] = occ
+        for i in range(self.d):
+            self.occupation[pids.start : pids.stop, i] = (types == i).mean(axis=1)
         return types
 
     def step_mass(self, k, x_chunk, u_extra, streams, ctx):
         """Mass added this step; ``u_extra`` holds the two immigration planes."""
-        from .csbp import _poisson_counts
-
         cfg = self.cfg
         h = cfg.dt
         xi = ctx[:, k]
@@ -172,7 +171,7 @@ def simulate_spine(
     """Simulate the size-biased process; see the module docstring.
 
     Warns when the discrete-immigration truncation drops more than 1% of the
-    small-immigrant mass influx.
+    small-immigrant mass influx.  ``threads`` is as in `simulate_csbp`.
     """
     x0 = eig.nu.copy() if x0 is None else np.asarray(x0, dtype=float)
     budget = _truncation_budget(model, cfg.delta_floor)
@@ -184,7 +183,4 @@ def simulate_spine(
         )
     imm = _SpineImmigration(model, eig, cfg, x0)
     ens = simulate_csbp(model, eig, cfg, x0=x0, immigration=imm, threads=threads)
-    occ = np.concatenate(
-        [imm.occupation_chunks[k] for k in sorted(imm.occupation_chunks)], axis=0
-    )
-    return SpineResult(ensemble=ens, occupation=occ)
+    return SpineResult(ensemble=ens, occupation=imm.occupation)

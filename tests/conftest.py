@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import supermart as sm
+import supermart.sim.csbp as csbp_mod
+import supermart.sim.gw as gw_mod
 
 # The directory that holds the imported ``supermart`` package: ``src`` in a
 # checkout, ``site-packages`` (or the editable source) in an install.
@@ -19,7 +21,7 @@ def cli_env(**overlay):
     ``PYTHONPATH`` and keeps the inherited entries after it, so the child
     imports the same code whatever its working directory.  A relative entry
     such as ``src`` would otherwise resolve against the child's ``cwd``.
-    ``overlay`` sets further variables (e.g. ``SUPERMART_THREADS="2"``).
+    ``overlay`` sets further variables (e.g. ``OMP_NUM_THREADS="1"``).
     """
     env = dict(os.environ, **overlay)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
@@ -28,6 +30,46 @@ def cli_env(**overlay):
 
 def make_model(obj):
     return sm.model_from_json(obj)
+
+
+# two types, one stable and one atom kernel: every engine branch, with jumps
+STABLE_ATOMS = {
+    "types": 2,
+    "Q": [[-1.0, 1.0], [1.0, -1.0]],
+    "beta": [1.0, 0.5],
+    "alpha": [0.5, 0.5],
+    "kernels": [
+        {"kind": "stable", "gamma": 1.0, "alpha": 1.5},
+        {"kind": "atoms", "atoms": [[0.5, 0.8], [2.0, 0.3]]},
+    ],
+}
+
+
+def assert_same_ensemble(a, b):
+    for name in ("times", "M", "masses", "clipped", "flagged"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.jumps is None) == (b.jumps is None)
+    if a.jumps is not None:
+        assert len(a.jumps) == len(b.jumps)
+        for ja, jb in zip(a.jumps, b.jumps):
+            assert np.array_equal(ja, jb)
+
+
+@pytest.fixture
+def set_chunk_paths(monkeypatch):
+    """Sets the engines' path-chunk size for the rest of the test."""
+
+    def apply(n):
+        monkeypatch.setattr(csbp_mod, "CHUNK_PATHS", n)
+        monkeypatch.setattr(gw_mod, "CHUNK_PATHS", n)
+
+    return apply
+
+
+@pytest.fixture
+def small_chunks(set_chunk_paths):
+    """96-path chunks, so a few hundred paths span several chunks."""
+    set_chunk_paths(96)
 
 
 @pytest.fixture(scope="session")

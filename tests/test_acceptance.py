@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate
 
 import supermart as sm
+import supermart.cli
 from conftest import cli_env
 from supermart.rates import as_rate_check, fit_exponential, lp_curve, window_law_check
 from supermart.verify import suite_eigen, suite_identities
@@ -335,7 +336,7 @@ def test_criterion_9_window_average_law():
     )
 
 
-def test_criterion_10_reproducibility(tmp_path):
+def test_criterion_10_reproducibility(tmp_path, set_chunk_paths):
     import filecmp
     import json as _json
     import os
@@ -359,20 +360,22 @@ def test_criterion_10_reproducibility(tmp_path):
     }
     cfg = tmp_path / "scenario.json"
     cfg.write_text(_json.dumps(scn))
-    for out, threads in (("o1", "1"), ("o2", "8")):
-        r = subprocess.run(
-            [sys.executable, "-m", "supermart.cli", "run", "--config", str(cfg),
-             "--out", str(tmp_path / out), "--threads", threads],
-            capture_output=True, text=True, env=cli_env(),
-        )
-        assert r.returncode == 0, r.stderr
+    r = subprocess.run(
+        [sys.executable, "-m", "supermart.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o1")],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    # the same run in this process, in 96-path chunks (2000 = 20 * 96 + 80)
+    set_chunk_paths(96)
+    assert supermart.cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 0
     files = sorted(os.listdir(tmp_path / "o1"))
-    identical = all(
+    identical = files == sorted(os.listdir(tmp_path / "o2")) and all(
         filecmp.cmp(tmp_path / "o1" / f, tmp_path / "o2" / f, shallow=False) for f in files
     )
     report(
         10,
-        "byte-identical artifacts across thread counts",
+        "byte-identical artifacts across reruns and chunk sizes",
         identical and len(files) >= 6,
         f"{len(files)} artifacts compared ({', '.join(files)}), {el():.0f}s",
     )

@@ -446,30 +446,39 @@ class TestRun:
         assert "kind 'gw' needs a Galton-Watson model, but the model is a CSBP model" in r.stderr
         assert "Traceback" not in r.stderr
 
-    def test_reproducible_across_threads_and_reruns(self, workdir):
+    def test_reproducible_across_reruns(self, workdir):
         scn = scenario()
         scn["sim"]["paths"] = 300
         (workdir / "scn.json").write_text(json.dumps(scn))
-        for out, threads in (("o1", "1"), ("o2", "8"), ("o3", "1")):
-            r = run_cli(
-                "run", "--config", "scn.json", "--out", out, "--threads", threads,
-                cwd=workdir,
-            )
+        for out in ("o1", "o2"):
+            r = run_cli("run", "--config", "scn.json", "--out", out, cwd=workdir)
             assert r.returncode == 0, r.stderr
         files = sorted(os.listdir(workdir / "o1"))
         assert files == sorted(os.listdir(workdir / "o2"))
         for f in files:
             assert filecmp.cmp(workdir / "o1" / f, workdir / "o2" / f, shallow=False), f
-            assert filecmp.cmp(workdir / "o1" / f, workdir / "o3" / f, shallow=False), f
 
-    def test_env_var_threads_fallback(self, workdir):
-        scn = scenario()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "csbp", "--model", "model.json", "--seed", "1", "--threads", "2"],
+            ["run", "--config", "scn.json", "--threads", "2"],
+        ],
+    )
+    def test_threads_option_refused(self, capsys, argv):
+        from supermart.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_gw_without_sim_defaults_to_1000_paths(self, workdir):
+        scn = {"model": GW_MODEL, "kind": "gw", "master_seed": 1, "gw": {"generations": 5}}
         (workdir / "scn.json").write_text(json.dumps(scn))
-        r = run_cli(
-            "run", "--config", "scn.json", "--out", "oenv",
-            cwd=workdir, env={"SUPERMART_THREADS": "2"},
-        )
+        r = run_cli("run", "--config", "scn.json", "--out", "gwout", cwd=workdir)
         assert r.returncode == 0, r.stderr
+        assert len(_body(workdir / "gwout" / "paths.csv")) == 1 + 1000 * 6
 
 
 class TestVerifyCommand:
@@ -570,6 +579,22 @@ class TestPathsFileRoundTrip:
         for p in ps:
             key = f"as_rate_p{p:g}"
             assert doc["checks"][key]["verdict"] == run_checks[key]["verdict"]
+
+    @pytest.mark.parametrize("command", [["rates", "--p", "1.2"], ["functionals"]])
+    def test_truncated_paths_exit_2(self, workdir, command):
+        r = run_cli(
+            "simulate", "csbp", "--model", "model.json", "--paths", "5", "--seed", "3",
+            "--dt", "0.01", "--horizon", "1.0", "--record-stride", "5", "--out", "simout",
+            cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        paths_csv = workdir / "simout" / "paths.csv"
+        lines = paths_csv.read_text().splitlines(keepends=True)
+        paths_csv.write_text("".join(lines[:-3]))
+        r = run_cli(command[0], "--paths", "simout/paths.csv", *command[1:], cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "simout/paths.csv" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_paths_without_lambda_exit_2(self, workdir):
         r = run_cli(

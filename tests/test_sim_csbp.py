@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import STABLE_ATOMS, assert_same_ensemble
 from scipy.integrate import solve_ivp
 
 import supermart as sm
@@ -218,14 +220,26 @@ class TestStepRejection:
 
 
 class TestDeterminism:
-    def test_thread_count_invariance(self, stable1):
+    def test_chunk_size_invariance(self, set_chunk_paths):
+        # outputs depend on the config and master seed, not on the chunk size
+        model = sm.model_from_json(STABLE_ATOMS)
+        eig = sm.principal_eigentriple(model)
+        cfg = sm.SimConfig(dt=0.02, horizon=2.0, paths=400, master_seed=61, epsilon=0.3)
+        a = sm.simulate_csbp(model, eig, cfg)
+        assert sum(len(j) for j in a.jumps) > 0
+        set_chunk_paths(96)
+        assert_same_ensemble(a, sm.simulate_csbp(model, eig, cfg))
+        # a path's draws are its own: a shorter run is a prefix
+        head = sm.simulate_csbp(model, eig, dataclasses.replace(cfg, paths=37))
+        assert np.array_equal(head.masses, a.masses[:37])
+        assert all(np.array_equal(x, y) for x, y in zip(head.jumps, a.jumps))
+
+    def test_threads_other_than_one_refused(self, stable1):
         eig = sm.principal_eigentriple(stable1)
-        cfg = sm.SimConfig(dt=0.01, horizon=1.0, paths=9000, master_seed=51, record_stride=10)
-        a = sm.simulate_csbp(stable1, eig, cfg, threads=1)
-        b = sm.simulate_csbp(stable1, eig, cfg, threads=8)
-        assert np.array_equal(a.M, b.M)
-        assert np.array_equal(a.masses, b.masses)
-        assert all(np.array_equal(x, y) for x, y in zip(a.jumps, b.jumps))
+        cfg = sm.SimConfig(dt=0.01, horizon=1.0, paths=5, master_seed=51)
+        assert sm.simulate_csbp(stable1, eig, cfg, threads=1).n_paths == 5
+        with pytest.raises(ValueError, match="runs its chunks in order"):
+            sm.simulate_csbp(stable1, eig, cfg, threads=2)
 
     def test_rerun_bit_identical(self, stable1):
         eig = sm.principal_eigentriple(stable1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same_ensemble
 from scipy.stats import ks_2samp
 
 import supermart as sm
@@ -124,3 +125,12 @@ class TestDeterminism:
         a = sm.simulate_gw(gw, 15, 300, seed=42)
         b = sm.simulate_gw(gw, 15, 300, seed=43)
         assert not np.array_equal(a.M, b.M)
+
+    @pytest.mark.parametrize(
+        "law", [{"kind": "gw", "pmf": [0.25, 0.0, 0.75]}, {"kind": "gw_powerlaw", "alpha": 1.3}]
+    )
+    def test_chunk_size_invariance(self, set_chunk_paths, law):
+        gw = sm.gw_from_json(law)
+        a = sm.simulate_gw(gw, 8, 300, 17)
+        set_chunk_paths(96)
+        assert_same_ensemble(a, sm.simulate_gw(gw, 8, 300, 17))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same_ensemble
 
 import supermart as sm
 from supermart.sim.spine import _SpineImmigration, _truncation_budget
@@ -195,16 +196,20 @@ class TestTailEnvelope:
 
 
 class TestSpineDeterminism:
-    def test_thread_invariance(self, tilted2):
+    def test_chunk_size_invariance(self, tilted2, set_chunk_paths):
         eig = sm.principal_eigentriple(tilted2)
         cfg = sm.SpineConfig(
-            dt=0.01, horizon=1.0, paths=9000, master_seed=31, record_stride=10,
+            dt=0.01, horizon=1.0, paths=300, master_seed=31, record_stride=10,
             delta=1e-2, delta_floor=1e-3,
         )
-        a = sm.simulate_spine(tilted2, eig, cfg, threads=1)
-        b = sm.simulate_spine(tilted2, eig, cfg, threads=8)
-        assert np.array_equal(a.ensemble.M, b.ensemble.M)
+        a = sm.simulate_spine(tilted2, eig, cfg)
+        set_chunk_paths(96)
+        b = sm.simulate_spine(tilted2, eig, cfg)
+        assert_same_ensemble(a.ensemble, b.ensemble)
+        assert a.occupation.shape == (300, 2)
         assert np.array_equal(a.occupation, b.occupation)
+        with pytest.raises(ValueError, match="runs its chunks in order"):
+            sm.simulate_spine(tilted2, eig, cfg, threads=2)
 
 
 class TestSpineConfig:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import STABLE_ATOMS, assert_same_ensemble
 
 import supermart as sm
 import supermart.sim.csbp as csbp_mod
@@ -104,35 +105,6 @@ def reference_streams(monkeypatch):
         return calls
 
     return install
-
-
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """96-path chunks, so a few hundred paths span several chunks."""
-    monkeypatch.setattr(csbp_mod, "CHUNK_PATHS", 96)
-    monkeypatch.setattr(gw_mod, "CHUNK_PATHS", 96)
-
-
-def assert_same_ensemble(a, b):
-    for name in ("times", "M", "masses", "clipped", "flagged"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert (a.jumps is None) == (b.jumps is None)
-    if a.jumps is not None:
-        assert len(a.jumps) == len(b.jumps)
-        for ja, jb in zip(a.jumps, b.jumps):
-            assert np.array_equal(ja, jb)
-
-
-STABLE_ATOMS = {
-    "types": 2,
-    "Q": [[-1.0, 1.0], [1.0, -1.0]],
-    "beta": [1.0, 0.5],
-    "alpha": [0.5, 0.5],
-    "kernels": [
-        {"kind": "stable", "gamma": 1.0, "alpha": 1.5},
-        {"kind": "atoms", "atoms": [[0.5, 0.8], [2.0, 0.3]]},
-    ],
-}
 
 
 @pytest.mark.usefixtures("small_chunks")
