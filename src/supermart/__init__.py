@@ -46,12 +46,10 @@ from .criteria import (
 )
 from .sim import (
     Ensemble,
-    PathRecord,
     SimConfig,
     SpineConfig,
     SpineResult,
     auto_epsilon,
-    estimate_Minfty,
     simulate_csbp,
     simulate_gw,
     simulate_spine,

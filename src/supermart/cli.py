@@ -224,8 +224,11 @@ def _criteria(model, gw, eig, cfg: dict):
 
 
 def _paths(scn: dict) -> int:
-    """Paths of a scenario of any kind: ``sim.paths``, 1000 by default."""
-    return scn.get("sim", {}).get("paths", 1000)
+    """Paths of a scenario of any kind: ``sim.paths``, 1000 by default; exit 1 below 1."""
+    paths = scn.get("sim", {}).get("paths", 1000)
+    if paths < 1:
+        _fail(EXIT_SCHEMA, "sim: paths must be >= 1")
+    return paths
 
 
 def _sim_config(scn: dict):
@@ -276,27 +279,33 @@ def _write_ensemble(out_dir: str, ens, meta: dict) -> str:
 def _functional_rows(ens, kinds, max_paths: int, a_star: float, p: float, gamma: float) -> list:
     """``(path_id, kind, t, value)`` rows of per-path curves, kinds in the order given.
 
-    Unknown kinds are skipped; ``C`` and ``Ctilde`` share one `c_functionals` call.
+    Only the first ``max_paths`` paths are read.  Unknown kinds are skipped;
+    ``C`` and ``Ctilde`` share one `c_functionals` call.
     """
-    rows = []
-    for pid in range(min(ens.n_paths, max_paths)):
-        pr = ens.path(pid)
-        minf = float(pr.M[-1])
-        c_pair = None
-        for kind in kinds:
-            if kind == "M":
-                curve = FunctionalCurve(grid=pr.times, values=pr.M, kind="M")
-            elif kind == "A":
-                curve = a_functional(pr, minf, a_star)
-            elif kind == "Atilde":
-                curve = a_tilde_functional(pr, p)
-            elif kind in ("C", "Ctilde"):
-                c_pair = c_pair or c_functionals(pr, minf, gamma)
-                curve = c_pair[kind == "Ctilde"]
-            else:
-                continue
-            rows.extend((pid, curve.kind, t, v) for t, v in zip(curve.grid, curve.values))
-    return rows
+    if max_paths < 1:
+        return []
+    ens = ens.select(slice(0, max_paths))
+    minf = ens.M[:, -1]
+    curves, c_pair = [], None
+    for kind in kinds:
+        if kind == "M":
+            curves.append(FunctionalCurve(grid=ens.times, values=ens.M, kind="M"))
+        elif kind == "A":
+            curves.append(a_functional(ens, minf, a_star))
+        elif kind == "Atilde":
+            curves.append(a_tilde_functional(ens, p))
+        elif kind in ("C", "Ctilde"):
+            c_pair = c_pair or c_functionals(ens, minf, gamma)
+            curves.append(c_pair[kind == "Ctilde"])
+    if not curves:
+        return []
+    # path by path, then kind by kind, then time by time
+    values = np.stack([c.values for c in curves], axis=1)
+    n, k, n_t = values.shape
+    pid = np.repeat(np.arange(n), k * n_t)
+    names = np.tile(np.repeat([c.kind for c in curves], n_t), n)
+    t = np.tile(ens.times, n * k)
+    return list(zip(pid.tolist(), names.tolist(), t.tolist(), values.ravel().tolist()))
 
 
 def _rates_payload(ens, eig, preds, rate_cfg: dict):

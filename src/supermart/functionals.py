@@ -1,10 +1,11 @@
 """Pathwise functionals of the martingale and their exact identities.
 
-Everything here is a deterministic transform of one recorded path: weighted
-time integrals of ``Minf - M_s`` (trapezoid on the recorded grid) and
-weighted Stieltjes integrals against ``dM_s`` (left-point sums, with logged
-jumps placed exactly at their times).  Two identities tie them together and
-serve as discretization diagnostics:
+Everything here is a deterministic transform of an `Ensemble`, one row per
+path in and one row per path out: weighted time integrals of ``Minf - M_s``
+(trapezoid on the recorded grid) and weighted Stieltjes integrals against
+``dM_s`` (left-point sums, with logged jumps placed exactly at their times).
+A row depends on its own path only.  Two identities tie the functionals
+together and serve as discretization diagnostics:
 
 * ``A_T(q) = (q/lam) Atilde_T(p) + (q/lam) e^{lam T / q}(Minf - M_T)
   - (q/lam)(Minf - M_0)``  with 1/p + 1/q = 1;
@@ -12,7 +13,8 @@ serve as discretization diagnostics:
 
 Both residuals are invariant in the constant used for ``Minf`` (the
 derivative of each side in the constant cancels), so they measure pure
-discretization error and must shrink linearly in the step size.
+discretization error and must shrink linearly in the step size.  ``minf``
+is one value per path, or one value for all of them.
 """
 
 from __future__ import annotations
@@ -36,62 +38,68 @@ __all__ = [
 @dataclass(frozen=True)
 class FunctionalCurve:
     grid: np.ndarray
-    values: np.ndarray
+    values: np.ndarray  # (paths, n_times)
     kind: str
 
-    def final(self) -> float:
-        return float(self.values[-1])
+    def final(self) -> np.ndarray:
+        return self.values[:, -1]
+
+
+def _column(minf) -> np.ndarray:
+    return np.asarray(minf, dtype=float).reshape(-1, 1)
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(t))
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+    out = np.zeros(y.shape)
+    out[:, 1:] = np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]) * np.diff(t), axis=1)
     return out
 
 
-def a_functional(path, minf: float, a_star: float) -> FunctionalCurve:
+def a_functional(ens, minf, a_star: float) -> FunctionalCurve:
     """``A_t(a*) = int_0^t e^{lam s / a*} (Minf - M_s) ds`` by trapezoid."""
     if a_star <= 1.0:
         raise ValueError("a_star must exceed 1")
-    t = np.asarray(path.times)
-    integrand = np.exp(path.lam * t / a_star) * (minf - np.asarray(path.M))
+    t = ens.times
+    integrand = np.exp(ens.lam * t / a_star) * (_column(minf) - ens.M)
     return FunctionalCurve(grid=t, values=_cumtrapz(integrand, t), kind=f"A({a_star:g})")
 
 
-def _stieltjes_with_jumps(path, weight) -> np.ndarray:
+def _stieltjes_with_jumps(ens, weight) -> np.ndarray:
     """Left-point sum of ``weight(s) dM_s`` with logged jumps placed exactly.
 
     Each recorded increment is split into its logged-jump part (weighted at
     the true jump times) and the remainder (weighted at the left endpoint).
+    The jump logs are concatenated in path order and placed by one scatter
+    over ``(path, index)`` pairs.
     """
-    t = np.asarray(path.times)
-    m = np.asarray(path.M)
-    dm = np.diff(m)
+    t = ens.times
     w_left = weight(t[:-1])
-    contrib = w_left * dm
-    jumps = np.asarray(path.jumps)
-    if jumps.size:
-        # a jump in [t_k, t_{k+1}) lands in the increment M_{k+1} - M_k
-        tau = jumps[:, 0]
-        dm_jump = np.exp(-path.lam * tau) * path.phi[jumps[:, 1].astype(int)] * jumps[:, 2]
-        idx = np.clip(np.searchsorted(t, tau, side="right") - 1, 0, len(t) - 2)
-        np.subtract.at(contrib, idx, w_left[idx] * dm_jump)
-        np.add.at(contrib, idx, weight(tau) * dm_jump)
-    out = np.zeros(len(t))
-    out[1:] = np.cumsum(contrib)
+    contrib = w_left * np.diff(ens.M, axis=1)
+    if ens.jumps is not None:
+        jumps = np.concatenate(ens.jumps)
+        if len(jumps):
+            row = np.repeat(np.arange(ens.n_paths), [len(j) for j in ens.jumps])
+            # a jump in [t_k, t_{k+1}) lands in the increment M_{k+1} - M_k
+            tau = jumps[:, 0]
+            dm_jump = np.exp(-ens.lam * tau) * ens.phi[jumps[:, 1].astype(int)] * jumps[:, 2]
+            idx = np.clip(np.searchsorted(t, tau, side="right") - 1, 0, len(t) - 2)
+            np.subtract.at(contrib, (row, idx), w_left[idx] * dm_jump)
+            np.add.at(contrib, (row, idx), weight(tau) * dm_jump)
+    out = np.zeros(ens.M.shape)
+    out[:, 1:] = np.cumsum(contrib, axis=1)
     return out
 
 
-def a_tilde_functional(path, p: float) -> FunctionalCurve:
+def a_tilde_functional(ens, p: float) -> FunctionalCurve:
     """``Atilde_t(p) = int_0^t e^{lam s / q} dM_s`` with ``1/p + 1/q = 1``."""
     if not (1.0 < p <= 2.0):
         raise ValueError("p must lie in (1, 2]")
     q = p / (p - 1.0)
-    vals = _stieltjes_with_jumps(path, lambda s: np.exp(path.lam * s / q))
-    return FunctionalCurve(grid=np.asarray(path.times), values=vals, kind=f"Atilde({p:g})")
+    vals = _stieltjes_with_jumps(ens, lambda s: np.exp(ens.lam * s / q))
+    return FunctionalCurve(grid=ens.times, values=vals, kind=f"Atilde({p:g})")
 
 
-def c_functionals(path, minf: float, gamma: float):
+def c_functionals(ens, minf, gamma: float):
     """``C_t(gamma)`` and ``Ctilde_t(gamma)`` on the path grid.
 
     ``C_t = int_0^t s^{gamma-1}(Minf - M_s) ds`` (for gamma < 1 the first
@@ -100,70 +108,76 @@ def c_functionals(path, minf: float, gamma: float):
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    t = np.asarray(path.times)
-    m = np.asarray(path.M)
-    resid = minf - m
+    t = ens.times
+    resid = _column(minf) - ens.M
     if gamma >= 1.0:
         integrand = np.where(t > 0, t ** (gamma - 1.0), 0.0 if gamma > 1.0 else 1.0)
         c_vals = _cumtrapz(integrand * resid, t)
     else:
-        c_vals = np.zeros(len(t))
+        c_vals = np.zeros(resid.shape)
         if len(t) > 1:
-            c_vals[1] = resid[0] * t[1] ** gamma / gamma
-            inner = 0.5 * (t[1:-1] ** (gamma - 1.0) * resid[1:-1] + t[2:] ** (gamma - 1.0) * resid[2:])
-            c_vals[2:] = c_vals[1] + np.cumsum(inner * np.diff(t[1:]))
-    ct_vals = _stieltjes_with_jumps(path, lambda s: s**gamma)
+            c_vals[:, 1] = resid[:, 0] * t[1] ** gamma / gamma
+            inner = 0.5 * (
+                t[1:-1] ** (gamma - 1.0) * resid[:, 1:-1] + t[2:] ** (gamma - 1.0) * resid[:, 2:]
+            )
+            c_vals[:, 2:] = c_vals[:, 1:2] + np.cumsum(inner * np.diff(t[1:]), axis=1)
+    ct_vals = _stieltjes_with_jumps(ens, lambda s: s**gamma)
     return (
         FunctionalCurve(grid=t, values=c_vals, kind=f"C({gamma:g})"),
         FunctionalCurve(grid=t, values=ct_vals, kind=f"Ctilde({gamma:g})"),
     )
 
 
-def window_average(path, n: int, f_idx) -> float:
-    """``int_n^{n+1} e^{-lam s} <phi 1_F, X_s> ds`` by trapezoid.
+def window_average(ens, n: int, f_idx) -> np.ndarray:
+    """``int_n^{n+1} e^{-lam s} <phi 1_F, X_s> ds`` by trapezoid, one value per path.
 
-    Needs recorded masses and a grid covering ``[n, n+1]``.
+    Needs recorded masses and a grid covering ``[n, n+1]``; reads only the
+    window's columns (and one neighbour past an edge that falls between grid
+    points, for the linear end correction).
     """
-    if path.masses is None:
+    if ens.masses is None:
         raise ValueError("window_average needs recorded masses")
-    t = np.asarray(path.times)
-    if n + 1 > t[-1] + 1e-12:
-        raise ValueError("window extends past the recorded horizon")
-    f_idx = sorted(set(int(i) for i in f_idx))
-    proj = np.zeros(len(path.phi))
-    proj[f_idx] = path.phi[f_idx]
-    vals = np.exp(-path.lam * t) * (np.asarray(path.masses) @ proj)
+    t = ens.times
     lo, hi = float(n), float(n + 1)
-    sel = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-    ts, vs = t[sel], vals[sel]
-    # linear end corrections when the grid does not land on the window edges
-    if len(ts) == 0 or ts[0] > lo + 1e-12:
-        ts, vs = _prepend_interp(t, vals, lo, ts, vs)
-    if ts[-1] < hi - 1e-12:
-        ts, vs = _append_interp(t, vals, hi, ts, vs)
-    return float(np.trapezoid(vs, ts))
+    if hi > t[-1] + 1e-12 or lo < t[0] - 1e-12:
+        raise ValueError("window extends past the recorded grid")
+    f_idx = sorted(set(int(i) for i in f_idx))
+    proj = np.zeros(len(ens.phi))
+    proj[f_idx] = ens.phi[f_idx]
+    # grid points in [lo, hi], each edge within 1e-12
+    first = int(np.searchsorted(t, lo - 1e-12))
+    stop = int(np.searchsorted(t, hi + 1e-12, side="right"))
+    pre = bool(first == stop or t[first] > lo + 1e-12)
+    post = bool(first == stop or t[stop - 1] < hi - 1e-12)
+    a, b = first - pre, stop + post
+    ts, vals = t[a:b], np.exp(-ens.lam * t[a:b]) * (ens.masses[:, a:b] @ proj)
+
+    def edge(j, x):
+        # np.interp's formula between columns j and j + 1, on every row
+        slope = (vals[:, j + 1] - vals[:, j]) / (ts[j + 1] - ts[j])
+        return (slope * (x - ts[j]) + vals[:, j])[:, None]
+
+    inner = slice(pre, len(ts) - post)
+    ts_w, vs_w = ts[inner], vals[:, inner]
+    if pre:
+        ts_w, vs_w = np.concatenate([[lo], ts_w]), np.concatenate([edge(0, lo), vs_w], axis=1)
+    if post:
+        ts_w = np.concatenate([ts_w, [hi]])
+        vs_w = np.concatenate([vs_w, edge(len(ts) - 2, hi)], axis=1)
+    # rows stay C-contiguous, so each row sums in the order of a 1-D trapezoid
+    return np.trapezoid(vs_w, ts_w, axis=1)
 
 
-def _prepend_interp(t, vals, edge, ts, vs):
-    v = float(np.interp(edge, t, vals))
-    return np.concatenate([[edge], ts]), np.concatenate([[v], vs])
-
-
-def _append_interp(t, vals, edge, ts, vs):
-    v = float(np.interp(edge, t, vals))
-    return np.concatenate([ts, [edge]]), np.concatenate([vs, [v]])
-
-
-def lemma_A_residual(path, minf: float, p: float) -> float:
-    """Residual of the A / Atilde identity at the final recorded time."""
+def lemma_A_residual(ens, minf, p: float) -> np.ndarray:
+    """Residual of the A / Atilde identity at the final recorded time, per path."""
     q = p / (p - 1.0)
-    t_end = float(path.times[-1])
-    a_val = a_functional(path, minf, q).final()
-    at_val = a_tilde_functional(path, p).final()
-    m_end = float(path.M[-1])
-    m0 = float(path.M[0])
-    lam = path.lam
-    return abs(
+    t_end = float(ens.times[-1])
+    a_val = a_functional(ens, minf, q).final()
+    at_val = a_tilde_functional(ens, p).final()
+    m_end = ens.M[:, -1]
+    m0 = ens.M[:, 0]
+    lam = ens.lam
+    return np.abs(
         a_val
         - (q / lam) * at_val
         - (q / lam) * math.exp(lam * t_end / q) * (minf - m_end)
@@ -171,9 +185,9 @@ def lemma_A_residual(path, minf: float, p: float) -> float:
     )
 
 
-def lemma_C_residual(path, minf: float, gamma: float) -> float:
-    """Residual of the C / Ctilde identity at the final recorded time."""
-    c_curve, ct_curve = c_functionals(path, minf, gamma)
-    t_end = float(path.times[-1])
-    m_end = float(path.M[-1])
-    return abs(gamma * c_curve.final() - ct_curve.final() - t_end**gamma * (minf - m_end))
+def lemma_C_residual(ens, minf, gamma: float) -> np.ndarray:
+    """Residual of the C / Ctilde identity at the final recorded time, per path."""
+    c_curve, ct_curve = c_functionals(ens, minf, gamma)
+    t_end = float(ens.times[-1])
+    m_end = ens.M[:, -1]
+    return np.abs(gamma * c_curve.final() - ct_curve.final() - t_end**gamma * (minf - m_end))

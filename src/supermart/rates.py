@@ -193,6 +193,31 @@ def _default_t_lo(ensemble):
     return (0.25 * half, 0.5 * half)
 
 
+def _exceedance(ensemble, weight_fn, thresholds, t_lo_list, holds_also: bool = True) -> dict:
+    """Exceedance fractions of the weighted sup statistic and their verdict.
+
+    For each start time T the statistic is ``sup_{t in [T, horizon/2]}
+    weight(t) |Minf - M_t|``.  Verdict "holds" when the fraction of paths
+    within the largest threshold reaches 0.95 for every T (and
+    ``holds_also``); "fails-consistent" when at least 5% of paths exceed
+    every threshold at every T; otherwise "inconclusive".
+    """
+    if t_lo_list is None:
+        t_lo_list = _default_t_lo(ensemble)
+    fractions = {}
+    for t_lo in t_lo_list:
+        stat = _sup_stat(ensemble, weight_fn, t_lo)
+        fractions[t_lo] = {c: float(np.mean(stat <= c)) for c in thresholds}
+    top = thresholds[-1]
+    if holds_also and all(f[top] >= _HOLD_FRACTION for f in fractions.values()):
+        verdict = "holds"
+    elif all(1.0 - f[c] >= _FAIL_FRACTION for f in fractions.values() for c in thresholds):
+        verdict = "fails-consistent"
+    else:
+        verdict = "inconclusive"
+    return {"fractions": fractions, "verdict": verdict, "thresholds": thresholds}
+
+
 def as_rate_check(
     ensemble,
     q: float,
@@ -200,33 +225,10 @@ def as_rate_check(
     thresholds=(0.5, 1.0, 2.0, 4.0, 8.0),
     t_lo_list=None,
 ) -> dict:
-    """Exceedance analysis for the exponential rate ``exp(-lam t / q)``.
-
-    For each start time T the statistic is ``sup_{t in [T, horizon/2]}
-    e^{lam t / q} |Minf - M_t|``.  Verdict "holds" when the fraction of
-    paths within the largest threshold reaches 0.95 for every T;
-    "fails-consistent" when at least 5% of paths exceed every threshold at
-    every T; otherwise "inconclusive".
-    """
+    """Exceedance analysis (see `_exceedance`) for the rate ``exp(-lam t / q)``."""
     if q <= 1.0:
         raise ValueError("q must exceed 1")
-    if t_lo_list is None:
-        t_lo_list = _default_t_lo(ensemble)
-    thresholds = sorted(thresholds)
-    fractions = {}
-    for t_lo in t_lo_list:
-        stat = _sup_stat(ensemble, lambda t: np.exp(lam * t / q), t_lo)
-        fractions[t_lo] = {c: float(np.mean(stat <= c)) for c in thresholds}
-    top = thresholds[-1]
-    if all(fractions[t][top] >= _HOLD_FRACTION for t in t_lo_list):
-        verdict = "holds"
-    elif all(
-        1.0 - fractions[t][c] >= _FAIL_FRACTION for t in t_lo_list for c in thresholds
-    ):
-        verdict = "fails-consistent"
-    else:
-        verdict = "inconclusive"
-    return {"fractions": fractions, "verdict": verdict, "thresholds": thresholds}
+    return _exceedance(ensemble, lambda t: np.exp(lam * t / q), sorted(thresholds), t_lo_list)
 
 
 def poly_rate_check(
@@ -239,17 +241,12 @@ def poly_rate_check(
 
     The series functional ``C_t(gamma)`` is Cauchy-tested: its increment
     between horizon/4 and horizon/2 is compared per path against the same
-    threshold schedule.
+    threshold schedule, and "holds" also needs it within the largest
+    threshold on 95% of paths.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    if t_lo_list is None:
-        t_lo_list = _default_t_lo(ensemble)
     thresholds = sorted(thresholds)
-    fractions = {}
-    for t_lo in t_lo_list:
-        stat = _sup_stat(ensemble, lambda t: t**gamma, t_lo)
-        fractions[t_lo] = {c: float(np.mean(stat <= c)) for c in thresholds}
 
     # Cauchy increment of C_t(gamma) = int s^{gamma-1}(Minf - M_s) ds
     m = _live_M(ensemble)
@@ -262,22 +259,14 @@ def poly_rate_check(
         np.sum(0.5 * (integrand[:, 1:] + integrand[:, :-1]) * np.diff(ts)[None, :], axis=1)
     )
     cauchy_frac = {c: float(np.mean(cauchy <= c)) for c in thresholds}
-
-    top = thresholds[-1]
-    if all(fractions[t][top] >= _HOLD_FRACTION for t in t_lo_list) and cauchy_frac[
-        top
-    ] >= _HOLD_FRACTION:
-        verdict = "holds"
-    elif all(1.0 - fractions[t][c] >= _FAIL_FRACTION for t in t_lo_list for c in thresholds):
-        verdict = "fails-consistent"
-    else:
-        verdict = "inconclusive"
-    return {
-        "fractions": fractions,
-        "cauchy_fractions": cauchy_frac,
-        "verdict": verdict,
-        "thresholds": thresholds,
-    }
+    out = _exceedance(
+        ensemble,
+        lambda t: t**gamma,
+        thresholds,
+        t_lo_list,
+        holds_also=cauchy_frac[thresholds[-1]] >= _HOLD_FRACTION,
+    )
+    return {**out, "cauchy_fractions": cauchy_frac}
 
 
 def window_law_check(ensemble, f_idx, eig, n_values=None) -> dict:
@@ -294,18 +283,14 @@ def window_law_check(ensemble, f_idx, eig, n_values=None) -> dict:
     if n_values is None:
         n_values = list(range(1, int(math.floor(0.5 * ensemble.horizon)) + 1))
     minf = np.asarray(ensemble.M)[:, -1]
-    alive = np.nonzero(minf > 0)[0]
+    alive = minf > 0
     mads = {}
     for n in n_values:
-        devs = []
-        for i in alive:
-            pr = ensemble.path(int(i))
-            ratio = window_average(pr, n, f_idx) / minf[i]
-            devs.append(abs(ratio - target))
-        mads[n] = float(np.median(devs)) if devs else math.nan
+        devs = np.abs(window_average(ensemble, n, f_idx)[alive] / minf[alive] - target)
+        mads[n] = float(np.median(devs)) if devs.size else math.nan
     return {
         "target": target,
         "mad": mads,
-        "survival_fraction": float(len(alive)) / ensemble.n_paths,
+        "survival_fraction": float(np.count_nonzero(alive)) / ensemble.n_paths,
         "n_values": list(n_values),
     }

@@ -1,6 +1,6 @@
 """Path generation: Galton-Watson, multitype CSBP, and the spine sampler."""
 
-from .records import Ensemble, PathRecord, SimConfig, SpineConfig, estimate_Minfty
+from .records import Ensemble, SimConfig, SpineConfig
 from .gw import simulate_gw
 from .csbp import auto_epsilon, simulate_csbp
 from .spine import SpineResult, simulate_spine, tilted_generator
@@ -8,9 +8,7 @@ from .spine import SpineResult, simulate_spine, tilted_generator
 __all__ = [
     "SimConfig",
     "SpineConfig",
-    "PathRecord",
     "Ensemble",
-    "estimate_Minfty",
     "simulate_gw",
     "simulate_csbp",
     "auto_epsilon",

@@ -115,6 +115,18 @@ def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_product(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``x @ mat`` with one summation order whatever the number of rows.
+
+    numpy takes a one-row product as a vector-matrix product, which from
+    four types on sums in another order than the matrix product of a larger
+    chunk; a one-row chunk therefore takes the product of its row twice.
+    """
+    if len(x) == 1:
+        return (np.concatenate([x, x]) @ mat)[:1]
+    return x @ mat
+
+
 def simulate_csbp(
     model: Model,
     eig: Eigentriple,
@@ -209,10 +221,10 @@ def simulate_csbp(
 
         for k in range(n_steps):
             # deterministic mean part with the large-jump compensator folded in
-            det = x * prop_scalar if prop_scalar is not None else x @ prop
+            det = x * prop_scalar if prop_scalar is not None else _row_product(x, prop)
             if has_jumps:
                 det = det - x * m1_h
-            var = x * var_scalar if var_scalar is not None else x @ var_map
+            var = x * var_scalar if var_scalar is not None else _row_product(x, var_map)
             small = det * det < _SMALL_Z2 * var
             x_new = det + np.sqrt(var) * g[:, k, :]
 

@@ -1,16 +1,12 @@
-"""Simulation configs, per-path records, and ensemble containers.
+"""Simulation configs, per-path streams, and the ensemble container.
 
 Reproducibility contract: outputs depend on the config and the master seed,
 not on the chunk size.  Every path owns private RNG streams derived from
 ``SeedSequence([master_seed, path_id])``, split into fixed roles (gaussians,
 event counts, event sizes, near-absorption draws, spine motion), and the
-engine fixes the draw order within each stream.  One exception: with four or
-more types, a chunk of exactly one path has numpy take ``x @ prop`` and
-``x @ var_map`` as matrix-vector products, which sum in another order, so
-that path's masses may differ in the last bits (up to 2e-15 relative).  The
-near-absorption role keeps the name ``reject``, from a step-rejection redo
-the engine no longer has, and its index, so the roles after it keep their
-seeds.
+engine fixes the draw order within each stream.  The near-absorption role
+keeps the name ``reject``, from a step-rejection redo the engine no longer
+has, and its index, so the roles after it keep their seeds.
 
 The stream of role ``r`` is the ``PCG64`` that
 ``SeedSequence(entropy=[master_seed, path_id], spawn_key=(r,))`` seeds, but
@@ -29,7 +25,7 @@ construction draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -37,10 +33,8 @@ from numpy.random.bit_generator import ISeedSequence
 __all__ = [
     "SimConfig",
     "SpineConfig",
-    "PathRecord",
     "Ensemble",
     "path_streams",
-    "estimate_Minfty",
     "CHUNK_PATHS",
 ]
 
@@ -230,24 +224,6 @@ class SpineConfig(SimConfig):
             raise ValueError("delta_floor must lie in (0, 0.01]")
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One recorded path: time grid, masses, martingale values, jump log."""
-
-    times: np.ndarray
-    masses: np.ndarray
-    M: np.ndarray
-    jumps: np.ndarray  # rows (time, type, size), possibly empty
-    lam: float
-    phi: np.ndarray
-    clipped: float = 0.0
-    flagged: bool = False
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-
 @dataclass
 class Ensemble:
     """Column-stacked records of many paths on one shared grid."""
@@ -269,23 +245,17 @@ class Ensemble:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def path(self, i: int) -> PathRecord:
-        return PathRecord(
-            times=self.times,
-            masses=self.masses[i] if self.masses is not None else None,
-            M=self.M[i],
-            jumps=self.jumps[i] if self.jumps is not None else np.empty((0, 3)),
-            lam=self.lam,
-            phi=self.phi,
-            clipped=float(self.clipped[i]) if self.clipped is not None else 0.0,
-            flagged=bool(self.flagged[i]) if self.flagged is not None else False,
+    def select(self, rows: slice) -> "Ensemble":
+        """The paths in ``rows`` as an Ensemble of views into this one."""
+
+        def take(a):
+            return None if a is None else a[rows]
+
+        return replace(
+            self,
+            M=self.M[rows],
+            masses=take(self.masses),
+            clipped=take(self.clipped),
+            flagged=take(self.flagged),
+            jumps=take(self.jumps),
         )
-
-
-def estimate_Minfty(path) -> float:
-    """Proxy for the martingale limit: the last recorded M value.
-
-    Rate fits must only consume times up to half the horizon so that the
-    proxy bias stays below the decay being measured.
-    """
-    return float(np.asarray(path.M)[..., -1])

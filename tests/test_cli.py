@@ -241,6 +241,20 @@ class TestBadSimSettings:
         assert "Traceback" not in r.stderr
         assert not (workdir / "simout").exists()
 
+    @pytest.mark.parametrize("kind", ["gw", "csbp"])
+    @pytest.mark.parametrize("paths", ["-5", "0"])
+    def test_simulate_paths_below_one(self, workdir, kind, paths):
+        (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
+        model = "gw.json" if kind == "gw" else "model.json"
+        r = run_cli(
+            "simulate", kind, "--model", model, "--paths", paths, "--seed", "3",
+            "--out", "simout", cwd=workdir,
+        )
+        assert r.returncode == 1, r.stderr
+        assert "error: sim: paths must be >= 1" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "simout").exists()
+
     @pytest.mark.parametrize(
         "kind,sim,needle",
         [

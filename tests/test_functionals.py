@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import STABLE_ATOMS
 
 import supermart as sm
 from supermart.functionals import (
@@ -12,22 +13,23 @@ from supermart.functionals import (
     lemma_C_residual,
     window_average,
 )
-from supermart.sim import PathRecord
+from supermart.sim import Ensemble
 
 
 def synthetic_path(times, m_values, lam=1.0, jumps=None, masses=None, phi=None):
+    """A one-path `Ensemble` with martingale ``m_values`` on ``times``."""
     times = np.asarray(times, dtype=float)
     m = np.asarray(m_values, dtype=float)
     phi = np.array([1.0]) if phi is None else np.asarray(phi, dtype=float)
     if masses is None:
         masses = (np.exp(lam * times)[:, None] * m[:, None]) / phi[0]
-    return PathRecord(
+    return Ensemble(
         times=times,
-        masses=masses,
-        M=m,
-        jumps=np.asarray(jumps, dtype=float) if jumps is not None else np.empty((0, 3)),
+        M=m[None, :],
+        masses=np.asarray(masses, dtype=float)[None],
         lam=lam,
         phi=phi,
+        jumps=[np.asarray(jumps if jumps is not None else [], dtype=float).reshape(-1, 3)],
     )
 
 
@@ -57,7 +59,7 @@ class TestAFunctional:
     def test_starts_at_zero(self):
         t = np.linspace(0, 2, 50)
         pr = synthetic_path(t, np.cos(t))
-        assert a_functional(pr, 0.5, 4.0).values[0] == 0.0
+        assert a_functional(pr, 0.5, 4.0).values[0, 0] == 0.0
 
 
 class TestATildeFunctional:
@@ -193,10 +195,7 @@ class TestWindowAverage:
         t = np.linspace(0, 3, 31)
         phi = np.array([1.0, 1.0])
         masses = np.ones((len(t), 2))
-        pr = PathRecord(
-            times=t, masses=masses, M=np.ones(len(t)), jumps=np.empty((0, 3)),
-            lam=0.5, phi=phi,
-        )
+        pr = synthetic_path(t, np.ones(len(t)), lam=0.5, masses=masses, phi=phi)
         assert window_average(pr, 1, []) == 0.0
 
     def test_deterministic_model_gives_m0(self):
@@ -210,3 +209,42 @@ class TestWindowAverage:
         pr = synthetic_path(t, np.ones_like(t))
         with pytest.raises(ValueError):
             window_average(pr, 2, [0])
+
+
+class TestRowsArePaths:
+    def test_each_row_depends_only_on_its_path(self):
+        # two types, both logging jumps; the grid (step 0.06) misses the
+        # window edges, so the window averages interpolate at both ends
+        model = sm.model_from_json(STABLE_ATOMS)
+        eig = sm.principal_eigentriple(model)
+        cfg = sm.SimConfig(
+            dt=0.02, horizon=4.0, paths=40, master_seed=71, epsilon=0.3, record_stride=3
+        )
+        ens = sm.simulate_csbp(model, eig, cfg)
+        logged = np.concatenate(ens.jumps)
+        assert set(logged[:, 1].tolist()) == {0.0, 1.0}
+        assert sum(len(j) > 1 for j in ens.jumps) > 5
+
+        def rows(e):
+            minf = e.M[:, -1]
+            c_half, ct_half = c_functionals(e, minf, 0.5)
+            c_one, ct_one = c_functionals(e, minf, 1.0)
+            return [
+                a_functional(e, minf, 2.0).values,
+                a_tilde_functional(e, 1.5).values,
+                c_half.values,
+                ct_half.values,
+                c_one.values,
+                ct_one.values,
+                window_average(e, 1, [0]),
+                window_average(e, 2, [0, 1]),
+                lemma_A_residual(e, minf, 2.0),
+                lemma_C_residual(e, minf, 0.7),
+            ]
+
+        whole = rows(ens)
+        for i in range(ens.n_paths):
+            single = rows(ens.select(slice(i, i + 1)))
+            for k, (w, s) in enumerate(zip(whole, single)):
+                assert s.shape[0] == 1
+                assert np.array_equal(w[i], s[0]), (i, k)

@@ -16,6 +16,14 @@ FELLER2 = {
     "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
 }
 
+ATOMS4 = {
+    "types": 4,
+    "Q": [[-3.0, 1.0, 1.0, 1.0], [1.0, -3.0, 1.0, 1.0], [1.0, 1.0, -3.0, 1.0], [1.0, 1.0, 1.0, -3.0]],
+    "beta": [1.0, 1.1, 1.2, 1.3],
+    "alpha": [0.5] * 4,
+    "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8], [2.0, 0.3]]}] * 4,
+}
+
 
 def feller_var(a, b, x0, t):
     """Moment-ODE oracle: d/dt E[X^2] = 2b E[X^2] + 2a E[X]."""
@@ -227,12 +235,19 @@ class TestDeterminism:
         cfg = sm.SimConfig(dt=0.02, horizon=2.0, paths=400, master_seed=61, epsilon=0.3)
         a = sm.simulate_csbp(model, eig, cfg)
         assert sum(len(j) for j in a.jumps) > 0
+        # four types, 400 = 133 * 3 + 1 paths: at chunk size 3 the last chunk
+        # holds one path, whose step products must sum as in a larger chunk
+        model4 = sm.model_from_json(ATOMS4)
+        eig4 = sm.principal_eigentriple(model4)
+        a4 = sm.simulate_csbp(model4, eig4, cfg)
         set_chunk_paths(96)
         assert_same_ensemble(a, sm.simulate_csbp(model, eig, cfg))
         # a path's draws are its own: a shorter run is a prefix
         head = sm.simulate_csbp(model, eig, dataclasses.replace(cfg, paths=37))
         assert np.array_equal(head.masses, a.masses[:37])
         assert all(np.array_equal(x, y) for x, y in zip(head.jumps, a.jumps))
+        set_chunk_paths(3)
+        assert_same_ensemble(a4, sm.simulate_csbp(model4, eig4, cfg))
 
     def test_threads_other_than_one_refused(self, stable1):
         eig = sm.principal_eigentriple(stable1)
@@ -247,13 +262,6 @@ class TestDeterminism:
         a = sm.simulate_csbp(stable1, eig, cfg)
         b = sm.simulate_csbp(stable1, eig, cfg)
         assert np.array_equal(a.M, b.M)
-
-    def test_estimate_minfty(self, stable1):
-        eig = sm.principal_eigentriple(stable1)
-        cfg = sm.SimConfig(dt=0.01, horizon=1.0, paths=20, master_seed=53, record_stride=10)
-        ens = sm.simulate_csbp(stable1, eig, cfg)
-        pr = ens.path(3)
-        assert sm.estimate_Minfty(pr) == pr.M[-1]
 
 
 class TestPoissonCounts:
