@@ -6,15 +6,12 @@ simulate paths (Galton-Watson, multitype CSBP, or the size-biased spine
 process) and check the predictions against ensemble statistics.
 """
 
-from .errors import ConfigError, ModelValidationError, SpectralError, SupermartError
+from .errors import ModelValidationError, SpectralError, SupermartError
 from .model import (
     AtomList,
-    BranchingMechanism,
     GWModel,
     Model,
-    RateMatrix,
     StablePowerLaw,
-    TypeSpace,
     model_from_json,
     model_to_json,
     gw_from_json,

@@ -162,6 +162,7 @@ _ARG_RANGES = {
     "p": (lambda v: 1.0 < v <= 2.0, "(1, 2]"),
     "gamma": (lambda v: 0.0 < v < math.inf, "(0, inf)"),
     "a_star": (lambda v: 1.0 < v < math.inf, "(1, inf)"),
+    "max_paths": (lambda v: v >= 1, "[1, inf)"),
 }
 
 
@@ -282,8 +283,6 @@ def _functional_rows(ens, kinds, max_paths: int, a_star: float, p: float, gamma:
     Only the first ``max_paths`` paths are read.  Unknown kinds are skipped;
     ``C`` and ``Ctilde`` share one `c_functionals` call.
     """
-    if max_paths < 1:
-        return []
     ens = ens.select(slice(0, max_paths))
     minf = ens.M[:, -1]
     curves, c_pair = [], None
@@ -437,7 +436,9 @@ def cmd_simulate(args):
 
 
 def cmd_functionals(args):
-    _require_ranges("functionals", a_star=[args.a_star], p=[args.p], gamma=[args.gamma])
+    _require_ranges(
+        "functionals", a_star=[args.a_star], p=[args.p], gamma=[args.gamma], max_paths=[args.max_paths]
+    )
     ens, meta = read_paths_csv(args.paths)
     rows = _functional_rows(ens, args.kinds, args.max_paths, args.a_star, args.p, args.gamma)
     out = args.out or "functionals.csv"

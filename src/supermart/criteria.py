@@ -70,7 +70,7 @@ def _nu_average(model: Model, eig: Eigentriple, per_type) -> float:
     """``sum_i nu_i per_type(kernel_i, phi_i)``; each kernel owns its closed forms."""
     total = 0.0
     for i in range(model.d):
-        v = per_type(model.mech.kernels[i], float(eig.phi[i]))
+        v = per_type(model.kernels[i], float(eig.phi[i]))
         if math.isinf(v):
             return math.inf
         total += float(eig.nu[i]) * v
@@ -113,7 +113,7 @@ def _tail_table(model: Model, eig: Eigentriple, t_lo: float, name: str, per_type
         raise ValueError("phi must be strictly positive")
     n = max(2, int(math.ceil(math.log10(_GRID_HI / t_lo) * _GRID_PER_DECADE)))
     grid = np.geomspace(t_lo * (1.0 + 1e-9), _GRID_HI, n).tolist()
-    types = [(k, float(p)) for k, p in zip(model.mech.kernels, eig.phi)]
+    types = [(k, float(p)) for k, p in zip(model.kernels, eig.phi)]
     table = np.array([[per_type(k, p, t) for k, p in types] for t in grid])
     dens = np.array([float(eig.nu @ row) for row in table])
     return table, dens

@@ -12,6 +12,3 @@ class ModelValidationError(SupermartError):
 class SpectralError(SupermartError):
     """Eigen machinery failed (non-supercritical, reducible, no convergence)."""
 
-
-class ConfigError(SupermartError):
-    """Scenario/CLI configuration is malformed."""

@@ -1,9 +1,9 @@
-"""Finite-type branching models: type space, spatial motion, jump kernels.
+"""Finite-type branching models: spatial motion and per-type branching.
 
-A model bundles a finite type space (types ``1..d``, stored ``0``-indexed), a
-conservative rate matrix for the spatial motion, and a per-type branching
-mechanism ``(beta, alpha_diff, jump kernel)``.  Two kernel families are
-supported:
+A `Model` is one flat record of ``d`` types (``1..d``, stored
+``0``-indexed): the conservative rate matrix ``q`` of the spatial motion, and
+per type the drift ``beta``, the diffusion coefficient ``alpha_diff`` and a
+jump kernel in ``kernels``.  Two kernel families are supported:
 
 * ``StablePowerLaw(gamma, alpha)`` -- density ``gamma * r**(-1-alpha)`` on
   ``(0, inf)`` with ``alpha`` in ``(1, 2)``; every moment integral used by the
@@ -39,12 +39,9 @@ from scipy.special import zeta
 from .errors import ModelValidationError
 
 __all__ = [
-    "TypeSpace",
-    "RateMatrix",
     "StablePowerLaw",
     "AtomList",
     "KERNELS",
-    "BranchingMechanism",
     "Model",
     "GWModel",
     "ValidationReport",
@@ -57,54 +54,6 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TypeSpace:
-    """Finite type space with ``d`` types."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ModelValidationError("type space needs d >= 1")
-
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Conservative CTMC rate matrix (off-diagonal >= 0, zero row sums)."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ModelValidationError("rate matrix must be square")
-        object.__setattr__(self, "q", q)
-        self.q.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return self.q.shape[0]
-
-    def row_sum_defects(self) -> np.ndarray:
-        return self.q.sum(axis=1)
-
-    def offdiag_negative(self) -> bool:
-        off = self.q - np.diag(np.diag(self.q))
-        return bool((off < -_ROW_SUM_TOL).any())
-
-    def is_irreducible(self) -> bool:
-        """Strong connectivity of the off-diagonal support graph."""
-        from scipy.sparse import csgraph, csr_matrix
-
-        d = self.d
-        if d == 1:
-            return True
-        support = (self.q > 0).astype(np.int8)
-        np.fill_diagonal(support, 0)
-        n, _ = csgraph.connected_components(csr_matrix(support), connection="strong")
-        return n == 1
 
 
 @dataclass(frozen=True)
@@ -312,45 +261,51 @@ KERNELS = {"stable": StablePowerLaw, "atoms": AtomList}
 
 
 @dataclass(frozen=True)
-class BranchingMechanism:
-    """Per-type branching data: drift ``beta``, diffusion ``alpha_diff``, kernels."""
+class Model:
+    """A finite-type model: motion rates ``q`` and per-type branching data.
 
+    ``q`` is the ``(d, d)`` rate matrix of the motion; ``beta``,
+    ``alpha_diff`` and ``kernels`` hold one drift, diffusion coefficient and
+    jump kernel per type.  The arrays are stored read-only.
+    """
+
+    q: np.ndarray
     beta: np.ndarray
     alpha_diff: np.ndarray
     kernels: tuple
 
     def __post_init__(self):
+        q = np.asarray(self.q, dtype=float)
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise ModelValidationError("rate matrix must be square")
+        if len(q) < 1:
+            raise ModelValidationError("type space needs d >= 1")
         beta = np.asarray(self.beta, dtype=float)
         alpha_diff = np.asarray(self.alpha_diff, dtype=float)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha_diff", alpha_diff)
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-        self.beta.setflags(write=False)
-        self.alpha_diff.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return len(self.kernels)
-
-
-@dataclass(frozen=True)
-class Model:
-    """A finite-type ``(motion, branching mechanism)`` pair."""
-
-    space: TypeSpace
-    motion: RateMatrix
-    mech: BranchingMechanism
-
-    def __post_init__(self):
-        d = self.space.d
-        if self.motion.d != d or self.mech.d != d:
+        kernels = tuple(self.kernels)
+        if len(kernels) != len(q):
             raise ModelValidationError("dimension mismatch between motion and mechanism")
-        if len(self.mech.beta) != d or len(self.mech.alpha_diff) != d:
+        if len(beta) != len(q) or len(alpha_diff) != len(q):
             raise ModelValidationError("beta/alpha_diff length must equal d")
+        for name, arr in (("q", q), ("beta", beta), ("alpha_diff", alpha_diff)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "kernels", kernels)
 
     @property
     def d(self) -> int:
-        return self.space.d
+        return len(self.q)
+
+    def is_irreducible(self) -> bool:
+        """Strong connectivity of the off-diagonal support graph of ``q``."""
+        from scipy.sparse import csgraph, csr_matrix
+
+        if self.d == 1:
+            return True
+        support = (self.q > 0).astype(np.int8)
+        np.fill_diagonal(support, 0)
+        n, _ = csgraph.connected_components(csr_matrix(support), connection="strong")
+        return n == 1
 
 
 @dataclass(frozen=True)
@@ -429,9 +384,6 @@ class ValidationReport:
     rmin_r2: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "rmin_r2": self.rmin_r2, "failures": self.failures}
-
 
 def validate_model(model: Model) -> ValidationReport:
     """Check the structural assumptions that make a model usable.
@@ -441,19 +393,19 @@ def validate_model(model: Model) -> ValidationReport:
     rates, reducibility) instead of aborting.  Supercriticality (``lambda > 0``) is checked later
     by the spectral layer.
     """
-    arrays = {"Q": model.motion.q, "beta": model.mech.beta, "alpha_diff": model.mech.alpha_diff}
+    arrays = {"Q": model.q, "beta": model.beta, "alpha_diff": model.alpha_diff}
     failures = [f"non-finite {k}: {v.tolist()}" for k, v in arrays.items() if not np.isfinite(v).all()]
-    defects = model.motion.row_sum_defects()
+    defects = model.q.sum(axis=1)
     if np.max(np.abs(defects)) > _ROW_SUM_TOL:
         failures.append(f"non-conservative motion: row sums {defects.tolist()}")
-    if model.motion.offdiag_negative():
+    if (model.q - np.diag(np.diag(model.q)) < -_ROW_SUM_TOL).any():
         failures.append("negative off-diagonal motion rate")
-    if not model.motion.is_irreducible():
+    if not model.is_irreducible():
         failures.append("reducible motion: Perron triple is not unique")
-    if (model.mech.alpha_diff < 0).any():
+    if (model.alpha_diff < 0).any():
         failures.append("alpha_diff must be >= 0")
-    vals = [k.rmin_r2() for k in model.mech.kernels]
-    for i, (kern, v) in enumerate(zip(model.mech.kernels, vals)):
+    vals = [k.rmin_r2() for k in model.kernels]
+    for i, (kern, v) in enumerate(zip(model.kernels, vals)):
         bad = [key for key, p in kern.to_json().items() if key != "kind" and not np.isfinite(p).all()]
         if bad:
             failures.append(f"type {i}: non-finite kernel {', '.join(bad)}: {kern.to_json()}")
@@ -484,10 +436,10 @@ def seed_set(f_set, d: int) -> list:
 def model_to_json(model: Model) -> dict:
     return {
         "types": model.d,
-        "Q": model.motion.q.tolist(),
-        "beta": model.mech.beta.tolist(),
-        "alpha": model.mech.alpha_diff.tolist(),
-        "kernels": [k.to_json() for k in model.mech.kernels],
+        "Q": model.q.tolist(),
+        "beta": model.beta.tolist(),
+        "alpha": model.alpha_diff.tolist(),
+        "kernels": [k.to_json() for k in model.kernels],
     }
 
 
@@ -498,15 +450,15 @@ def model_from_json(obj: dict | str) -> Model:
     unknown = [k.get("kind") for k in obj["kernels"] if k.get("kind") not in KERNELS]
     if unknown:
         raise ModelValidationError(f"unknown kernel kind: {unknown[0]!r}")
-    return Model(
-        space=TypeSpace(d=d),
-        motion=RateMatrix(q=np.asarray(obj["Q"], dtype=float)),
-        mech=BranchingMechanism(
-            beta=np.asarray(obj["beta"], dtype=float),
-            alpha_diff=np.asarray(obj["alpha"], dtype=float),
-            kernels=tuple(KERNELS[k["kind"]].from_json(k) for k in obj["kernels"]),
-        ),
+    model = Model(
+        q=obj["Q"],
+        beta=obj["beta"],
+        alpha_diff=obj["alpha"],
+        kernels=[KERNELS[k["kind"]].from_json(k) for k in obj["kernels"]],
     )
+    if model.d != d:
+        raise ModelValidationError(f"dimension mismatch: types is {d} but Q is {model.d} x {model.d}")
+    return model
 
 
 def gw_to_json(gw: GWModel) -> dict:

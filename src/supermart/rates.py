@@ -136,35 +136,24 @@ def _verdicts(slope: float, se: float, r2: float, predicted: float | None):
 
 def fit_exponential(curve: dict, predicted: float | None = None) -> RateFit:
     """Least squares on ``(t, log value)``; ``predicted`` is the signed slope."""
-    t = np.asarray(curve["t"], dtype=float)
-    v = np.asarray(curve["value"], dtype=float)
-    if (v <= 0).any():
-        raise ValueError("exponential fit needs strictly positive curve values")
-    slope, _, se, r2 = _ols_line(t, np.log(v))
-    verdict, bound = _verdicts(slope, se, r2, predicted)
-    return RateFit(
-        kind="exponential",
-        exponent=slope,
-        stderr=se,
-        window=(float(t[0]), float(t[-1])),
-        n_paths=int(curve.get("n_paths", 0)),
-        predicted=predicted,
-        verdict=verdict,
-        r_squared=r2,
-        bound_verdict=bound,
-    )
+    return _fit(curve, predicted, "exponential", log_t=False)
 
 
 def fit_power(curve: dict, predicted: float | None = None) -> RateFit:
     """Least squares on ``(log t, log value)`` for polynomial decay."""
+    return _fit(curve, predicted, "polynomial", log_t=True)
+
+
+def _fit(curve: dict, predicted: float | None, kind: str, log_t: bool) -> RateFit:
+    """Least squares of ``log value`` on ``t``, or on ``log t`` when ``log_t``."""
     t = np.asarray(curve["t"], dtype=float)
     v = np.asarray(curve["value"], dtype=float)
-    if (t <= 0).any() or (v <= 0).any():
-        raise ValueError("power fit needs positive times and values")
-    slope, _, se, r2 = _ols_line(np.log(t), np.log(v))
+    if (v <= 0).any() or (log_t and (t <= 0).any()):
+        raise ValueError(f"{kind} fit needs positive {'times and ' if log_t else ''}curve values")
+    slope, _, se, r2 = _ols_line(np.log(t) if log_t else t, np.log(v))
     verdict, bound = _verdicts(slope, se, r2, predicted)
     return RateFit(
-        kind="polynomial",
+        kind=kind,
         exponent=slope,
         stderr=se,
         window=(float(t[0]), float(t[-1])),

@@ -67,9 +67,9 @@ def auto_epsilon(
     """
     max_mass = 2.0 * float(np.sum(x0)) * math.exp(max(eig.lam, 0.0) * horizon)
     rate_cap = 0.1 / (max_mass * dt)
-    eps = max(k.split_level(rate_cap) for k in model.mech.kernels)
+    eps = max(k.split_level(rate_cap) for k in model.kernels)
     if eps == 0.0:
-        smallest = min(k.smallest_jump() for k in model.mech.kernels)
+        smallest = min(k.smallest_jump() for k in model.kernels)
         eps = 0.5 * smallest if smallest < math.inf else 1.0
     return eps
 
@@ -160,11 +160,11 @@ def simulate_csbp(
     if eps is None:
         eps = auto_epsilon(model, eig, x0, h, cfg.horizon)
 
-    kernels = model.mech.kernels
+    kernels = model.kernels
     rate_large = np.array([k.tail(eps) for k in kernels])
     m1_large = np.array([k.partial_moment(1.0, eps, math.inf) for k in kernels])
     m2_small = np.array([k.partial_moment(2.0, 0.0, eps) for k in kernels])
-    diff_coef = model.mech.alpha_diff + m2_small
+    diff_coef = model.alpha_diff + m2_small
     rate_h = rate_large * h
     m1_h = m1_large * h
     has_jumps = bool((rate_large > 0).any())
@@ -177,8 +177,6 @@ def simulate_csbp(
     nodes, weights = np.polynomial.legendre.leggauss(8)
     flows = linalg.expm((0.5 * h * (nodes + 1.0))[:, None, None] * gen)
     var_map = 0.5 * h * np.einsum("n,nki,i,nij->kj", weights, flows, diff_coef, flows[::-1] ** 2)
-    prop_scalar = float(prop[0, 0]) if d == 1 else None
-    var_scalar = float(var_map[0, 0]) if d == 1 else None
 
     rec_idx = list(range(0, n_steps + 1, cfg.record_stride))
     if rec_idx[-1] != n_steps:
@@ -221,10 +219,10 @@ def simulate_csbp(
 
         for k in range(n_steps):
             # deterministic mean part with the large-jump compensator folded in
-            det = x * prop_scalar if prop_scalar is not None else _row_product(x, prop)
+            det = _row_product(x, prop)
             if has_jumps:
                 det = det - x * m1_h
-            var = x * var_scalar if var_scalar is not None else _row_product(x, var_map)
+            var = _row_product(x, var_map)
             small = det * det < _SMALL_Z2 * var
             x_new = det + np.sqrt(var) * g[:, k, :]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelValidationError
-from ..model import Model, RateMatrix
+from ..model import Model
 from ..spectral import Eigentriple
 from .csbp import _poisson_counts, simulate_csbp
 from .records import Ensemble, SpineConfig
@@ -38,16 +38,16 @@ from .records import Ensemble, SpineConfig
 __all__ = ["tilted_generator", "simulate_spine", "SpineResult"]
 
 
-def tilted_generator(model: Model, eig: Eigentriple) -> RateMatrix:
+def tilted_generator(model: Model, eig: Eigentriple) -> np.ndarray:
     """Spine CTMC rates ``q_ij phi_j / phi_i`` with a conservative diagonal.
 
     The stationary law of this chain is ``(nu_i phi_i)_i``.
     """
     phi = eig.phi
-    q = model.motion.q * (phi[None, :] / phi[:, None])
+    q = model.q * (phi[None, :] / phi[:, None])
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
-    return RateMatrix(q=q)
+    return q
 
 
 @dataclass
@@ -69,7 +69,7 @@ class _SpineImmigration:
         self.cfg = cfg
         self.d = model.d
         self.n_steps = cfg.n_steps
-        tilted = tilted_generator(model, eig).q
+        tilted = tilted_generator(model, eig)
         init_w = eig.phi * x0
         if init_w.sum() <= 0:
             raise ModelValidationError("spine needs <phi, x0> > 0")
@@ -83,9 +83,9 @@ class _SpineImmigration:
             np.cumsum(w / w.sum()).tolist() if r > 0 else None for w, r in zip(off, rates)
         ]
         self.disc_rate = np.array(
-            [k.partial_moment(1.0, cfg.delta_floor, math.inf) for k in model.mech.kernels]
+            [k.partial_moment(1.0, cfg.delta_floor, math.inf) for k in model.kernels]
         )
-        self.cont_rate = model.mech.alpha_diff / cfg.delta
+        self.cont_rate = model.alpha_diff / cfg.delta
         self.occupation = np.empty((cfg.paths, self.d))
 
     def _simulate_spine_path(self, rng) -> np.ndarray:
@@ -132,7 +132,7 @@ class _SpineImmigration:
 
         disc_counts = _poisson_counts(u_extra[:, 1], self.disc_rate[xi] * h)
         for j in np.nonzero(disc_counts)[0]:
-            kern = self.model.mech.kernels[xi[j]]
+            kern = self.model.kernels[xi[j]]
             rng = streams[j, "sizes"]
             tot = sum(
                 kern.sample_size_biased_tail(cfg.delta_floor, rng)
@@ -152,7 +152,7 @@ def _truncation_budget(model: Model, delta_floor: float) -> float:
     would be meaningless there.)
     """
     worst = 0.0
-    for kern in model.mech.kernels:
+    for kern in model.kernels:
         dropped = kern.partial_moment(2.0, 0.0, delta_floor)
         kept = kern.partial_moment(2.0, 0.0, 1.0)
         if kept > 0:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import SpectralError
-from .model import BranchingMechanism, Model, RateMatrix
+from .model import Model
 
 __all__ = [
     "Eigentriple",
@@ -40,7 +40,7 @@ _EIG_TOL = 1e-10
 
 def generator_matrix(model: Model) -> np.ndarray:
     """``Q + diag(beta)``, the generator of the mean semigroup."""
-    return model.motion.q + np.diag(model.mech.beta)
+    return model.q + np.diag(model.beta)
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def principal_eigentriple(model: Model) -> Eigentriple:
     inverse-iteration polish step refines both eigenvectors before the
     residual check.  Raises for reducible motion and for ``lambda <= 0``.
     """
-    if not model.motion.is_irreducible():
+    if not model.is_irreducible():
         raise SpectralError("reducible motion: no unique Perron triple")
     a = generator_matrix(model)
     w, vl, vr = linalg.eig(a, left=True, right=True)
@@ -235,11 +235,8 @@ def rescaled_model(model: Model, t_star: float) -> Model:
     kernel weights) is multiplied by ``t_star``; jump sizes are unchanged.
     """
     return Model(
-        space=model.space,
-        motion=RateMatrix(q=model.motion.q * t_star),
-        mech=BranchingMechanism(
-            beta=model.mech.beta * t_star,
-            alpha_diff=model.mech.alpha_diff * t_star,
-            kernels=tuple(k.scaled(t_star) for k in model.mech.kernels),
-        ),
+        q=model.q * t_star,
+        beta=model.beta * t_star,
+        alpha_diff=model.alpha_diff * t_star,
+        kernels=[k.scaled(t_star) for k in model.kernels],
     )

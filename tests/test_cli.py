@@ -201,6 +201,8 @@ class TestArgumentRefusals:
             (("functionals", "--kinds", "Atilde", "--p", "0.5"), ("functionals: p = 0.5",)),
             (("functionals", "--kinds", "A", "--a-star", "1"), ("functionals: a_star = 1.0",)),
             (("functionals", "--kinds", "C", "--gamma", "-1"), ("functionals: gamma = -1.0",)),
+            (("functionals", "--max-paths", "-2"), ("functionals: max_paths = -2 is outside [1, inf)",)),
+            (("functionals", "--max-paths", "0"), ("functionals: max_paths = 0",)),
         ],
     )
     def test_rate_and_functional_args(self, sim_paths, args, needles):
@@ -301,6 +303,17 @@ class TestNonFiniteModel:
             assert needle in r.stderr, (args, r.stderr)
             assert "Traceback" not in r.stderr
         assert not (workdir / "simout").exists()
+
+
+class TestModelShape:
+    def test_eigen_refuses_a_kernel_per_missing_type(self, workdir):
+        bad = {**BASE_MODEL, "kernels": BASE_MODEL["kernels"] * 2}
+        (workdir / "bad.json").write_text(json.dumps(bad))
+        r = run_cli("eigen", "--model", "bad.json", cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "dimension mismatch" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "eigen.json").exists()
 
 
 class TestRun:

@@ -21,7 +21,7 @@ def reference_B(model, eig, t0=10.0):
     best = 0.0
     for t in reference_log_grid(t0):
         tails = np.array(
-            [model.mech.kernels[i].tail(t / float(eig.phi[i])) for i in range(model.d)]
+            [model.kernels[i].tail(t / float(eig.phi[i])) for i in range(model.d)]
         )
         num = np.max(tails / eig.phi)
         den = float(eig.nu @ tails)
@@ -39,7 +39,7 @@ def reference_b(model, eig, f_set, t1=10.0):
     best = math.inf
     for t in reference_log_grid(t1):
         tails = np.array(
-            [model.mech.kernels[i].first_moment_tail(float(eig.phi[i]), t) for i in range(model.d)]
+            [model.kernels[i].first_moment_tail(float(eig.phi[i]), t) for i in range(model.d)]
         )
         den = float(eig.nu @ tails)
         num = min(tails[i] / float(eig.phi[i]) for i in f_idx)

@@ -68,18 +68,14 @@ class TestValidateModel:
         assert rep.rmin_r2[0] == pytest.approx(3.0 * min(2.0, 4.0))
 
     def test_nonconservative_motion_flagged(self):
-        bad = sm.Model(
-            space=sm.TypeSpace(d=2),
-            motion=sm.RateMatrix(q=np.array([[-1.0, 1.1], [1.0, -1.0]])),
-            mech=sm.model_from_json(
-                {
-                    "types": 2,
-                    "Q": [[-1.0, 1.0], [1.0, -1.0]],
-                    "beta": [1.0, 1.0],
-                    "alpha": [0.0, 0.0],
-                    "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
-                }
-            ).mech,
+        bad = sm.model_from_json(
+            {
+                "types": 2,
+                "Q": [[-1.0, 1.1], [1.0, -1.0]],
+                "beta": [1.0, 1.0],
+                "alpha": [0.0, 0.0],
+                "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
+            }
         )
         rep = sm.validate_model(bad)
         assert not rep.ok
@@ -123,8 +119,45 @@ class TestValidateModel:
             assert rep.ok
 
 
+TWO_TYPES = {
+    "types": 2,
+    "Q": [[-1.0, 1.0], [1.0, -1.0]],
+    "beta": [1.0, 1.0],
+    "alpha": [0.0, 0.0],
+    "kernels": [STABLE] * 2,
+}
+
+
+class TestShapeRefusals:
+    @pytest.mark.parametrize(
+        "change,needle",
+        [
+            ({"Q": [[0.0]], "beta": [1.0], "alpha": [0.0], "kernels": [STABLE]}, "dimension mismatch"),
+            ({"Q": [[-1.0, 1.0]]}, "must be square"),
+            ({"beta": [1.0]}, "beta/alpha_diff length"),
+            ({"alpha": [0.0]}, "beta/alpha_diff length"),
+            ({"kernels": [STABLE] * 3}, "dimension mismatch"),
+            ({"types": 0, "Q": [], "beta": [], "alpha": [], "kernels": []}, "must be square"),
+        ],
+    )
+    def test_model_from_json_refuses(self, change, needle):
+        with pytest.raises(ModelValidationError, match=needle):
+            sm.model_from_json({**TWO_TYPES, **change})
+
+    def test_no_types(self):
+        with pytest.raises(ModelValidationError, match="d >= 1"):
+            sm.Model(q=np.zeros((0, 0)), beta=[], alpha_diff=[], kernels=())
+
+    def test_arrays_read_only(self):
+        m = sm.model_from_json(TWO_TYPES)
+        for arr in (m.q, m.beta, m.alpha_diff):
+            assert arr.dtype == float and not arr.flags.writeable
+        assert m.d == 2 and m.is_irreducible()
+        assert sm.model_to_json(m) == TWO_TYPES
+
+
 def kernel(kernel_json):
-    return single_type(kernel_json).mech.kernels[0]
+    return single_type(kernel_json).kernels[0]
 
 
 class TestKernelTail:
@@ -237,7 +270,7 @@ class TestSampleLargeJump:
         m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0], [5.0, 1.0]]})
         rng = np.random.Generator(np.random.PCG64(11))
         n = 40_000
-        draws = m.mech.kernels[0].sample_tail_many(1.0, n, rng)
+        draws = m.kernels[0].sample_tail_many(1.0, n, rng)
         frac2 = float(np.mean(draws == 2.0))
         sigma = math.sqrt(0.75 * 0.25 / n)
         assert abs(frac2 - 0.75) <= 3 * sigma
