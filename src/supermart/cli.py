@@ -2,12 +2,12 @@
 run, verify.
 
 Exit codes: 0 success, 1 config schema violation (message carries a JSON
-pointer to the fault) or a simulation setting the engine refuses, 2 model
-validation or spectral failure, or an analysis argument out of range (a
-seed-set index outside the model's types, a criteria grid start or eigen
-target outside its interval, a rate or functional ``p``, ``gamma`` or
-``a_star`` outside its range), 3 numerical failure (more than 10% of paths
-flagged).
+pointer to the fault) or a simulation setting (``sim``, ``x0``) the engine
+refuses, 2 model validation or spectral failure, or an analysis argument out
+of range (a seed-set index outside the model's types, a criteria grid start
+or eigen target outside its interval, a rate or functional ``p``, ``gamma``
+or ``a_star`` outside its range), 3 numerical failure (more than 10% of
+paths flagged).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import (
 )
 from .spectral import assumption2_report, principal_eigentriple, spectral_gap
 from .criteria import Predictions, conjugate, evaluate_criteria, gw_predictions
-from .sim import SimConfig, SpineConfig, simulate_csbp, simulate_gw, simulate_spine
+from .sim import SimConfig, SpineConfig, check_x0, simulate_csbp, simulate_gw, simulate_spine
 from .functionals import FunctionalCurve, a_functional, a_tilde_functional, c_functionals
 from .rates import as_rate_check, fit_exponential, lp_curve, poly_rate_check, window_law_check
 from .io import (
@@ -110,7 +110,11 @@ SCENARIO_SCHEMA = {
                         "p": {"type": "array", "items": {"type": "number"}},
                         "gamma": {"type": "array", "items": {"type": "number"}},
                         "F": {"type": "array", "items": {"type": "integer"}},
-                        "thresholds": {"type": "array", "items": {"type": "number"}},
+                        "thresholds": {
+                            "type": "array",
+                            "minItems": 1,
+                            "items": {"type": "number", "exclusiveMinimum": 0},
+                        },
                     },
                 },
             },
@@ -262,10 +266,9 @@ def _simulate(scn: dict, cfg, model, gw, eig):
     if kind == "gw":
         gens = scn.get("gw", {}).get("generations", 20)
         return simulate_gw(gw, gens, _paths(scn), scn["master_seed"])
-    x0 = np.asarray(scn["x0"], dtype=float) if "x0" in scn else None
     if kind == "spine":
-        return simulate_spine(model, eig, cfg, x0=x0).ensemble
-    return simulate_csbp(model, eig, cfg, x0=x0)
+        return simulate_spine(model, eig, cfg, x0=scn.get("x0")).ensemble
+    return simulate_csbp(model, eig, cfg, x0=scn.get("x0"))
 
 
 def _write_ensemble(out_dir: str, ens, meta: dict) -> str:
@@ -496,6 +499,11 @@ def cmd_run(args):
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         _fail(EXIT_SCHEMA, f"bad model spec: {exc}")
     _require_kind(f"kind {scn['kind']!r}", scn["kind"], gw)
+    if model is not None and "x0" in scn:
+        try:
+            check_x0(scn["x0"], model.d)
+        except ValueError as exc:
+            _fail(EXIT_SCHEMA, str(exc))
     eig = None
     if model is not None:
         eig = _require_valid(model)

@@ -19,8 +19,9 @@ The criteria evaluated here, with the downstream prediction each one drives:
 * ``lower_bound_b``    -- uniform lower bound on first-moment tails over a
                           seed set F; under it an infinite log-moment makes
                           the series criterion fail.
-* ``inf_log_condition``-- the borderline o((log t)^-g) condition separating
-                          the polynomial rate from its failure.
+* ``inf_log_condition``-- the borderline o((log t)^-g) condition; it holds
+                          iff the log moment is finite, whose vanishing tail
+                          bounds it as (log r - log t)(log t)^g <= (log r)^(g+1).
 
 ``B`` and ``b`` are read off one ``(grid, types)`` table of tails, built from
 the kernels' own scalar closed forms.  Row maxima, minima and ratios are
@@ -154,43 +155,15 @@ def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> fl
     return 0.0 if math.isinf(best) else best
 
 
-def inf_log_condition(
-    model: Model, eig: Eigentriple, gamma: float, t_grid=None, tol: float = 0.05
-) -> dict:
-    """Evaluate the borderline condition: the excess-log tail times (log t)^gamma.
+def inf_log_condition(model: Model, eig: Eigentriple, gamma: float) -> dict:
+    """Verdict on ``(log t)^gamma int_t^inf r (log r - log t) pi^phi(dr) -> 0``.
 
-    Returns the curve of the product over ``t_grid`` and the verdict "holds"
-    when the product has decayed below ``tol`` times its peak by the end of
-    the grid (a curve that is identically zero holds trivially; one that
-    stays near or above its peak fails).
+    For ``r > t > 1``, ``(log r - log t) (log t)^gamma <= (log r)^(1+gamma)``,
+    so the product is at most ``int_t^inf r (log r)^(1+gamma) pi^phi(dr)``,
+    the tail of `log_moment`, which vanishes when that moment is finite:
+    "holds" when it is, "fails" when it is not.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    if t_grid is None:
-        t_grid = np.geomspace(10.0, 1e8, 34)
-    t_grid = np.asarray(t_grid, dtype=float)
-    prods = []
-    for t in t_grid:
-        v = _nu_average(model, eig, lambda k, f: k.excess_log_tail(f, t))
-        prods.append(v * math.log(t) ** gamma)
-    prods = np.asarray(prods)
-    peak = float(prods.max(initial=0.0))
-    if peak == 0.0:
-        verdict = "holds"
-    elif prods[-1] <= tol * peak:
-        verdict = "holds"
-    else:
-        # borderline-slow decay (alpha near 1): judge the log-log tail trend;
-        # any power-law factor t^{1-alpha} eventually drives the slope below 0
-        tail = slice(len(prods) // 2, None)
-        y = prods[tail]
-        if (y <= 0).any():
-            verdict = "holds"
-        else:
-            x = np.log(t_grid[tail])
-            slope = float(np.polyfit(x, np.log(y), 1)[0])
-            verdict = "holds" if slope <= -0.02 else "fails"
-    return {"verdict": verdict, "grid": t_grid, "product": prods, "peak": peak}
+    return {"verdict": "holds" if math.isfinite(log_moment(model, eig, gamma)) else "fails"}
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +216,7 @@ class CriteriaReport:
             "log_moments": {str(k): v for k, v in self.log_moments.items()},
             "B": self.B,
             "b": self.b,
-            "inf_log": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.inf_log.items()
-            },
+            "inf_log": {str(k): v for k, v in self.inf_log.items()},
             "lambda": self.lam,
         }
         if self.predictions is not None:
@@ -351,4 +321,5 @@ def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
                 "series_converges": finite,
             }
         )
-    return Predictions(nondegenerate=math.isfinite(gw.zlogz()), per_p=per_p, per_gamma=per_gamma)
+    nondegenerate = math.isfinite(gw.log_moment(0.0))
+    return Predictions(nondegenerate=nondegenerate, per_p=per_p, per_gamma=per_gamma)

@@ -131,12 +131,10 @@ def c_functionals(ens, minf, gamma: float):
 def window_average(ens, n: int, f_idx) -> np.ndarray:
     """``int_n^{n+1} e^{-lam s} <phi 1_F, X_s> ds`` by trapezoid, one value per path.
 
-    Needs recorded masses and a grid covering ``[n, n+1]``; reads only the
-    window's columns (and one neighbour past an edge that falls between grid
-    points, for the linear end correction).
+    Needs a grid covering ``[n, n+1]``; reads only the window's columns (and
+    one neighbour past an edge that falls between grid points, for the
+    linear end correction).
     """
-    if ens.masses is None:
-        raise ValueError("window_average needs recorded masses")
     t = ens.times
     lo, hi = float(n), float(n + 1)
     if hi > t[-1] + 1e-12 or lo < t[0] - 1e-12:

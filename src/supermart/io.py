@@ -94,13 +94,11 @@ def write_paths_csv(path: str, ensemble, meta: dict) -> None:
         f"{{0}},{_FMT.format(t)}," + ",".join(f"{{{1 + j * k + i}:.17g}}" for i in range(k)) + "\n"
         for j, t in enumerate(times)
     )
-    no_masses = np.full((len(times), d), np.nan)
     cols = ",".join(f"mass_{i + 1}" for i in range(d))
     with open(path, "w") as fh:
         _write_head(fh, _ensemble_meta(ensemble, meta), f"path_id,t,{cols},M")
         for pid in range(ensemble.n_paths):
-            masses = ensemble.masses[pid] if ensemble.masses is not None else no_masses
-            values = np.column_stack([masses, ensemble.M[pid]]).ravel().tolist()
+            values = np.column_stack([ensemble.masses[pid], ensemble.M[pid]]).ravel().tolist()
             fh.write(block.format(pid, *values))
 
 

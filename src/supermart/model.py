@@ -17,10 +17,10 @@ meaningful verdict for the rate criteria downstream.
 
 Kernel protocol: callers use only these methods, never a kernel's class.
 ``tail(t)`` (``t > 0``), ``partial_moment(k, lo, hi)`` (``0 <= lo < hi``) and
-``rmin_r2()`` integrate ``pi``; ``llogl``, ``p_moment``, ``log_moment``,
-``first_moment_tail`` and ``excess_log_tail`` integrate ``pi^phi``;
-``sample_tail_many`` and ``sample_size_biased_tail`` draw above a level and
-raise ``ModelValidationError`` on an empty tail; ``split_level`` and
+``rmin_r2()`` integrate ``pi``; ``llogl``, ``p_moment``, ``log_moment`` and
+``first_moment_tail`` integrate ``pi^phi``; ``sample_tail_many`` and
+``sample_size_biased_tail`` draw above a level and raise
+``ModelValidationError`` on an empty tail; ``split_level`` and
 ``smallest_jump`` set the engine's jump split; ``scaled``, ``to_json`` and
 ``from_json`` complete it.  A new family is one class with these methods and
 one ``KERNELS`` entry (``"kind": Class``).
@@ -147,11 +147,6 @@ class StablePowerLaw:
         a = self.alpha
         return self.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0)
 
-    def excess_log_tail(self, phi_i: float, t: float) -> float:
-        """``integral_t^inf r (log r - log t) pi^phi(dr)``."""
-        a = self.alpha
-        return self.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0) ** 2
-
     def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` draws from ``pi`` restricted to ``(eps, inf)``, normalized."""
         if self.gamma == 0.0:
@@ -228,9 +223,6 @@ class AtomList:
 
     def first_moment_tail(self, phi_i: float, t: float) -> float:
         return sum(w * y for y, w in self._above(phi_i, t))
-
-    def excess_log_tail(self, phi_i: float, t: float) -> float:
-        return sum(w * y * (math.log(y) - math.log(t)) for y, w in self._above(phi_i, t))
 
     def _inverse_cdf(self, eps: float, u, size_biased: bool = False):
         """Atom picked by uniform(s) ``u`` from ``pi`` (or ``r pi``) above ``eps``."""
@@ -347,16 +339,6 @@ class GWModel:
         if p >= self.alpha:
             return math.inf
         return float(zeta(1.0 + self.alpha - p) / zeta(1.0 + self.alpha))
-
-    def zlogz(self) -> float:
-        """``E[Z log Z]`` (finite for every supported law)."""
-        if self.pmf is not None:
-            return sum(k * math.log(k) * w for k, w in enumerate(self.pmf) if k > 1)
-        # sum k^-alpha log(k) / zeta(1+alpha) = -zeta'(alpha)/zeta(1+alpha)
-        a = self.alpha
-        h = 1e-6
-        dz = (zeta(a + h) - zeta(a - h)) / (2 * h)
-        return float(-dz / zeta(1.0 + a))
 
     def log_moment(self, g: float) -> float:
         """``E[Z (log Z)^(1+g)]`` (finite for every supported law)."""

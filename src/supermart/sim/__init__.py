@@ -1,6 +1,6 @@
 """Path generation: Galton-Watson, multitype CSBP, and the spine sampler."""
 
-from .records import Ensemble, SimConfig, SpineConfig
+from .records import Ensemble, SimConfig, SpineConfig, check_x0
 from .gw import simulate_gw
 from .csbp import auto_epsilon, simulate_csbp
 from .spine import SpineResult, simulate_spine, tilted_generator
@@ -9,6 +9,7 @@ __all__ = [
     "SimConfig",
     "SpineConfig",
     "Ensemble",
+    "check_x0",
     "simulate_gw",
     "simulate_csbp",
     "auto_epsilon",

@@ -45,7 +45,7 @@ from scipy.special import pdtr, pdtrik
 
 from ..model import Model
 from ..spectral import Eigentriple, generator_matrix
-from .records import CHUNK_PATHS, Ensemble, SimConfig, path_streams
+from .records import CHUNK_PATHS, Ensemble, SimConfig, check_x0, path_streams
 
 __all__ = ["simulate_csbp", "auto_epsilon"]
 
@@ -138,7 +138,8 @@ def simulate_csbp(
 ) -> Ensemble:
     """Simulate ``cfg.paths`` CSBP paths; see module docstring for the scheme.
 
-    ``x0`` defaults to ``nu`` (so ``<phi, X_0> = 1`` and ``M_0 = 1``).
+    ``x0`` defaults to ``nu`` (so ``<phi, X_0> = 1`` and ``M_0 = 1``); any
+    other must pass `check_x0`.
 
     ``immigration`` is the spine sampler's hook; the plain process passes
     None.  It provides ``extra_uniform_planes``, the number of uniform
@@ -150,10 +151,10 @@ def simulate_csbp(
     The paths run in fixed chunks of ``CHUNK_PATHS``, one after the other.
     ``threads`` is accepted for callers that still pass it, and only as 1.
     """
+    d = model.d
+    x0 = eig.nu.copy() if x0 is None else check_x0(x0, d)
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}: the engine runs its chunks in order")
-    d = model.d
-    x0 = eig.nu.copy() if x0 is None else np.asarray(x0, dtype=float)
     h = cfg.dt
     n_steps = cfg.n_steps
     eps = cfg.epsilon

@@ -34,6 +34,7 @@ __all__ = [
     "SimConfig",
     "SpineConfig",
     "Ensemble",
+    "check_x0",
     "path_streams",
     "CHUNK_PATHS",
 ]
@@ -173,6 +174,14 @@ def path_streams(master_seed: int, path_ids) -> PathStreams:
     return PathStreams(master_seed, path_ids)
 
 
+def check_x0(x0, d: int) -> np.ndarray:
+    """``x0`` as ``d`` finite masses ``>= 0`` with a positive sum, or ``ValueError``."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (d,) or not np.isfinite(x0).all() or (x0 < 0).any() or x0.sum() <= 0:
+        raise ValueError(f"x0 must be {d} finite masses >= 0 with a sum > 0, got {x0.tolist()}")
+    return x0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Controls one CSBP run.
@@ -230,7 +239,7 @@ class Ensemble:
 
     times: np.ndarray
     M: np.ndarray  # (paths, n_times)
-    masses: np.ndarray | None  # (paths, n_times, d) or None
+    masses: np.ndarray  # (paths, n_times, d)
     lam: float
     phi: np.ndarray
     clipped: np.ndarray = field(default=None)
@@ -254,7 +263,7 @@ class Ensemble:
         return replace(
             self,
             M=self.M[rows],
-            masses=take(self.masses),
+            masses=self.masses[rows],
             clipped=take(self.clipped),
             flagged=take(self.flagged),
             jumps=take(self.jumps),

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ModelValidationError
 from ..model import Model
 from ..spectral import Eigentriple
 from .csbp import _poisson_counts, simulate_csbp
-from .records import Ensemble, SpineConfig
+from .records import Ensemble, SpineConfig, check_x0
 
 __all__ = ["tilted_generator", "simulate_spine", "SpineResult"]
 
@@ -71,8 +70,6 @@ class _SpineImmigration:
         self.n_steps = cfg.n_steps
         tilted = tilted_generator(model, eig)
         init_w = eig.phi * x0
-        if init_w.sum() <= 0:
-            raise ModelValidationError("spine needs <phi, x0> > 0")
         self.init_cdf = np.cumsum(init_w / init_w.sum()).tolist()
         # per state: mean holding time and jump CDF, None where it absorbs
         rates = -np.diag(tilted)
@@ -173,7 +170,7 @@ def simulate_spine(
     Warns when the discrete-immigration truncation drops more than 1% of the
     small-immigrant mass influx.  ``threads`` is as in `simulate_csbp`.
     """
-    x0 = eig.nu.copy() if x0 is None else np.asarray(x0, dtype=float)
+    x0 = eig.nu.copy() if x0 is None else check_x0(x0, model.d)
     budget = _truncation_budget(model, cfg.delta_floor)
     if budget > 0.01:
         warnings.warn(

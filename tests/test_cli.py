@@ -274,6 +274,17 @@ class TestBadSimSettings:
         assert "Traceback" not in r.stderr
         assert not (workdir / "outdir").exists()
 
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [-1.0], [0.0]])
+    def test_run_bad_x0(self, workdir, x0):
+        scn = scenario(x0=x0)
+        scn["sim"].update({"dt": 0.01, "horizon": 2.0, "paths": 20})
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 1, r.stderr
+        assert "error: x0 must be 1 finite masses >= 0 with a sum > 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "outdir").exists()
+
 
 class TestNonFiniteModel:
     """A NaN or infinite model number exits 2 with a message naming the field."""
@@ -348,12 +359,19 @@ class TestRun:
         assert "kind" in r.stderr
 
     def test_nested_schema_pointer(self, workdir):
-        scn = scenario()
-        scn["sim"]["dt"] = -1.0
-        (workdir / "bad.json").write_text(json.dumps(scn))
-        r = run_cli("run", "--config", "bad.json", cwd=workdir)
-        assert r.returncode == 1
-        assert "/sim/dt" in r.stderr
+        for section, key, value, pointer in (
+            ("sim", "dt", -1.0, "/sim/dt"),
+            ("rates", "thresholds", [], "/analyses/rates/thresholds"),
+            ("rates", "thresholds", [0.5, -1], "/analyses/rates/thresholds"),
+        ):
+            scn = scenario()
+            (scn[section] if section == "sim" else scn["analyses"][section])[key] = value
+            (workdir / "bad.json").write_text(json.dumps(scn))
+            r = run_cli("run", "--config", "bad.json", cwd=workdir)
+            assert r.returncode == 1, (value, r.stderr)
+            assert pointer in r.stderr, (value, r.stderr)
+            assert "Traceback" not in r.stderr
+            assert not (workdir / "outdir").exists()
 
     def test_missing_kernels_key_exit_1(self, workdir):
         scn = scenario(model={k: v for k, v in BASE_MODEL.items() if k != "kernels"})

@@ -374,53 +374,25 @@ class TestInfLogCondition:
     def test_bounded_atoms_hold_trivially(self):
         m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
         out = sm.inf_log_condition(m, eig1(), 1.0)
-        assert out["verdict"] == "holds"
-        assert out["product"][-1] == 0.0
+        assert out == {"verdict": "holds"}
 
-    def test_stable_polynomial_decay_holds(self):
-        m = single_type(STABLE)
-        out = sm.inf_log_condition(m, eig1(), 1.0, t_grid=np.geomspace(10, 1e6, 26))
-        # cross-check three grid values against quadrature
-        for t in (10.0, 100.0, 1000.0):
-            oracle = quad_stable(
-                lambda r: r * (math.log(r) - math.log(t)), 1.0, 1.5, t, math.inf
-            )
-            i = int(np.argmin(np.abs(out["grid"] - t)))
-            assert out["product"][i] == pytest.approx(
-                oracle * math.log(t) ** 1.0, rel=1e-8
-            )
-        assert out["verdict"] == "holds"
-
-    def test_constructed_divergent_family_fails(self):
-        # atoms at e^n with weights e^{-n} n^{-(1+g)}: the partial-sum oracle
-        # I(e^k) (log e^k)^g = k^g * sum_{n>k} (n-k) / n^{1+g} grows in k
-        g = 1.0
-        n_atoms = 40
-        atoms = [[math.exp(n), math.exp(-n) * n ** (-(1.0 + g))] for n in range(1, n_atoms + 1)]
-        m = single_type({"kind": "atoms", "atoms": atoms})
-        ks = np.arange(2, 11)
-        oracle = []
-        for k in ks:
-            s = sum((n - k) / n ** (1.0 + g) for n in range(k + 1, n_atoms + 1))
-            oracle.append(k**g * s)
-        assert oracle[-1] > oracle[0]  # product grows, no decay
-        out = sm.inf_log_condition(
-            m, eig1(), g, t_grid=np.exp(ks.astype(float))
-        )
-        assert out["product"] == pytest.approx(oracle, rel=1e-9)
-        assert out["verdict"] == "fails"
-
-    def test_finite_log_moment_implies_holds(self):
-        # Eq-1.12-style finiteness is slightly stronger than the borderline
-        # condition: every test model with finite log moment must hold
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+    def test_finite_log_moment_implies_holds(self, g):
+        # a finite log moment bounds the borderline product by its own tail,
+        # also where that product decays slowly (stable alpha near 1) or is
+        # still growing on any grid that ends at e^10 (the 40 atoms at e^n
+        # with weights e^{-n} n^{-2})
+        atoms = [[math.exp(n), math.exp(-n) * n ** -2.0] for n in range(1, 41)]
         models = [
             single_type(STABLE),
             single_type({"kind": "atoms", "atoms": [[5.0, 1.0], [30.0, 0.1]]}),
             single_type({"kind": "stable", "gamma": 2.0, "alpha": 1.1}),
+            single_type({"kind": "stable", "gamma": 0.5, "alpha": 1.05}),
+            single_type({"kind": "atoms", "atoms": atoms}),
         ]
         for m in models:
-            assert math.isfinite(sm.log_moment(m, eig1(), 1.0))
-            assert sm.inf_log_condition(m, eig1(), 1.0)["verdict"] == "holds"
+            assert math.isfinite(sm.log_moment(m, eig1(), g))
+            assert sm.inf_log_condition(m, eig1(), g) == {"verdict": "holds"}
 
 
 class TestTheoremPredictions:
@@ -459,6 +431,7 @@ class TestGWPredictions:
     def test_powerlaw_moments(self):
         gw = sm.GWModel(alpha=1.3)
         preds = gw_predictions(gw, p_values=(1.2, 1.8))
+        assert preds.nondegenerate
         by_p = {item["p"]: item for item in preds.per_p}
         assert by_p[1.2]["as_rate_holds"]
         assert not by_p[1.8]["as_rate_holds"]
@@ -473,6 +446,7 @@ class TestGWPredictions:
     def test_bounded_always_finite(self):
         gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
         preds = gw_predictions(gw, p_values=(2.0,), gamma_values=(1.0,))
+        assert preds.nondegenerate
         assert preds.per_p[0]["as_rate_holds"]
         assert preds.per_gamma[0]["poly_rate_holds"]
         assert preds.per_p[0]["p_moment"] == pytest.approx(4.0 * 0.75)

@@ -322,7 +322,7 @@ KERNEL_EXAMPLES = {
 }
 KERNEL_PROTOCOL = (
     "tail", "partial_moment", "rmin_r2", "scaled", "llogl", "p_moment", "log_moment",
-    "first_moment_tail", "excess_log_tail", "sample_tail_many", "sample_size_biased_tail",
+    "first_moment_tail", "sample_tail_many", "sample_size_biased_tail",
     "split_level", "smallest_jump", "to_json", "from_json",
 )
 
