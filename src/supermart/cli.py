@@ -2,17 +2,18 @@
 run, verify.
 
 Exit codes: 0 success, 1 config schema violation (message carries a JSON
-pointer to the fault) or a simulation setting (``sim``, ``x0``) the engine
-refuses, 2 model validation or spectral failure, or an analysis argument out
-of range (a seed-set index outside the model's types, a criteria grid start
-or eigen target outside its interval, a rate or functional ``p``, ``gamma``
-or ``a_star`` outside its range), 3 numerical failure (more than 10% of
-paths flagged).
+pointer to the fault), a simulation setting (``sim``, ``x0``) the engine
+refuses or a setting or option the kind never reads, 2 model validation or
+spectral failure, or an analysis argument out of range (a seed-set index
+outside the model's types, a criteria grid start or eigen target outside its
+interval, a rate or functional ``p``, ``gamma`` or ``a_star`` outside its
+range), 3 numerical failure (more than 10% of paths flagged).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -228,6 +229,26 @@ def _criteria(model, gw, eig, cfg: dict):
     return report.as_dict(), report.predictions
 
 
+# scenario settings each kind never reads, as dotted paths; `run` refuses them, not drops them
+_UNREAD = {
+    "gw": ["x0"]
+    + [f"sim.{key}" for key in SCENARIO_SCHEMA["properties"]["sim"]["properties"] if key != "paths"]
+    + ["analyses.criteria.F", "analyses.criteria.t0", "analyses.criteria.t1", "analyses.rates.F"],
+    "csbp": ["gw", "sim.delta", "sim.delta_floor"],
+    "spine": ["gw"],
+}
+# engine settings and their defaults, for `run` and `simulate`; Galton-Watson reads none
+_ENGINE_OPTIONS = {"dt": 0.005, "horizon": 4.0, "record_stride": 1}
+
+
+def _refuse_unread(scn: dict) -> None:
+    """Exit 1 on the first setting of ``scn`` that its kind never reads."""
+    for key in _UNREAD[scn["kind"]]:
+        *parents, leaf = key.split(".")
+        if leaf in functools.reduce(lambda node, part: node.get(part, {}), parents, scn):
+            _fail(EXIT_SCHEMA, f"kind {scn['kind']!r} does not read {key}")
+
+
 def _paths(scn: dict) -> int:
     """Paths of a scenario of any kind: ``sim.paths``, 1000 by default; exit 1 below 1."""
     paths = scn.get("sim", {}).get("paths", 1000)
@@ -243,12 +264,12 @@ def _sim_config(scn: dict):
         return None
     sim = scn.get("sim", {})
     base = {
-        "dt": sim.get("dt", 0.005),
-        "horizon": sim.get("horizon", 4.0),
+        "dt": sim.get("dt", _ENGINE_OPTIONS["dt"]),
+        "horizon": sim.get("horizon", _ENGINE_OPTIONS["horizon"]),
         "paths": _paths(scn),
         "master_seed": scn["master_seed"],
         "epsilon": sim.get("epsilon"),
-        "record_stride": sim.get("record_stride", 1),
+        "record_stride": sim.get("record_stride", _ENGINE_OPTIONS["record_stride"]),
         "log_jumps": sim.get("log_jumps", True),
     }
     try:
@@ -419,16 +440,14 @@ def cmd_criteria(args):
 
 
 def cmd_simulate(args):
+    given = {name: getattr(args, name) for name in _ENGINE_OPTIONS if getattr(args, name) is not None}
+    if args.kind == "gw" and given:
+        _fail(EXIT_SCHEMA, f"simulate gw does not read --{next(iter(given)).replace('_', '-')}")
     scn = {
         "model": args.model,
         "kind": args.kind,
         "master_seed": args.seed,
-        "sim": {
-            "dt": args.dt,
-            "horizon": args.horizon,
-            "paths": args.paths,
-            "record_stride": args.record_stride,
-        },
+        "sim": {**_ENGINE_OPTIONS, **given, "paths": args.paths},
     }
     cfg = _sim_config(scn)
     model, gw = _resolve_model(args.model)
@@ -499,6 +518,7 @@ def cmd_run(args):
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         _fail(EXIT_SCHEMA, f"bad model spec: {exc}")
     _require_kind(f"kind {scn['kind']!r}", scn["kind"], gw)
+    _refuse_unread(scn)
     if model is not None and "x0" in scn:
         try:
             check_x0(scn["x0"], model.d)
@@ -582,9 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dt", type=float, default=0.005)
-    p.add_argument("--horizon", type=float, default=4.0)
-    p.add_argument("--record-stride", type=int, default=1)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--record-stride", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,10 +1,10 @@
 """Moment criteria and theorem-level predictions for a model + eigentriple.
 
-Every criterion is an integral against the ``phi``-rescaled kernel
-``pi^phi``, averaged over the left eigenmeasure ``nu``.  Closed forms are
-used for both kernel families (power-law integrals for the stable kernel,
-finite sums for atoms); ``math.inf`` is a first-class verdict and propagates
-through reports.
+Every criterion is an integral against ``pi^phi``, the image of each type's
+kernel under ``r -> phi_i r``, averaged over the left eigenmeasure ``nu``: a
+``partial_moment`` or ``log_moment`` of the kernel ``phi_image(phi_i)``, in
+closed form for both families; ``math.inf`` is a first-class verdict and
+propagates through reports.
 
 The criteria evaluated here, with the downstream prediction each one drives:
 
@@ -67,11 +67,11 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _nu_average(model: Model, eig: Eigentriple, per_type) -> float:
-    """``sum_i nu_i per_type(kernel_i, phi_i)``; each kernel owns its closed forms."""
+def _nu_average(model: Model, eig: Eigentriple, integral) -> float:
+    """``sum_i nu_i integral(pi^phi_i)``, with ``pi^phi_i`` the kernel ``phi_image(phi_i)``."""
     total = 0.0
     for i in range(model.d):
-        v = per_type(model.kernels[i], float(eig.phi[i]))
+        v = integral(model.kernels[i].phi_image(float(eig.phi[i])))
         if math.isinf(v):
             return math.inf
         total += float(eig.nu[i]) * v
@@ -84,25 +84,26 @@ def _nu_average(model: Model, eig: Eigentriple, per_type) -> float:
 
 def llogl(model: Model, eig: Eigentriple) -> float:
     """``integral nu(dy) integral_1^inf r log r pi^phi(y, dr)``."""
-    return _nu_average(model, eig, lambda k, f: k.llogl(f))
+    return _nu_average(model, eig, lambda k: k.log_moment(0.0))
 
 
 def p_moment(model: Model, eig: Eigentriple, p: float) -> float:
     """``integral nu(dy) integral_1^inf r^p pi^phi(y, dr)`` for p in (1, 2]."""
     if not (1.0 < p <= 2.0):
         raise ValueError("p must lie in (1, 2]")
-    return _nu_average(model, eig, lambda k, f: k.p_moment(f, p))
+    return _nu_average(model, eig, lambda k: k.partial_moment(p, 1.0, math.inf))
 
 
 def log_moment(model: Model, eig: Eigentriple, gamma: float) -> float:
     """``integral nu(dx) integral_1^inf r (log r)^(gamma+1) pi^phi(x, dr)``."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    return _nu_average(model, eig, lambda k, f: k.log_moment(f, gamma))
+    return _nu_average(model, eig, lambda k: k.log_moment(gamma))
 
 
-def _tail_table(model: Model, eig: Eigentriple, t_lo: float, name: str, per_type):
-    """``per_type(kernel_i, phi_i, t)`` on the log grid over ``(t_lo, 1e6]``.
+def _tail_table(eig: Eigentriple, t_lo: float, name: str, k: float, columns):
+    """``kernel.partial_moment(k, t / s, inf)`` for each ``(kernel, s)`` of ``columns``
+    on the log grid over ``(t_lo, 1e6]``.
 
     Returns the ``(grid, types)`` table and each row's ``nu``-average.  The
     entries come from scalar closed forms at Python-float times, and every
@@ -114,8 +115,7 @@ def _tail_table(model: Model, eig: Eigentriple, t_lo: float, name: str, per_type
         raise ValueError("phi must be strictly positive")
     n = max(2, int(math.ceil(math.log10(_GRID_HI / t_lo) * _GRID_PER_DECADE)))
     grid = np.geomspace(t_lo * (1.0 + 1e-9), _GRID_HI, n).tolist()
-    types = [(k, float(p)) for k, p in zip(model.kernels, eig.phi)]
-    table = np.array([[per_type(k, p, t) for k, p in types] for t in grid])
+    table = np.array([[kern.partial_moment(k, t / s, math.inf) for kern, s in columns] for t in grid])
     dens = np.array([float(eig.nu @ row) for row in table])
     return table, dens
 
@@ -128,7 +128,8 @@ def uniform_tail_B(model: Model, eig: Eigentriple, t0: float = 10.0) -> float:
     model the ratio is t-independent.  Returns ``inf`` when the denominator
     vanishes while some numerator does not (the bound fails).
     """
-    tails, dens = _tail_table(model, eig, t0, "t0", lambda k, p, t: k.tail(t / p))
+    # on pi at t / phi_i: the image's gamma phi^alpha t^-alpha / alpha rounds differently
+    tails, dens = _tail_table(eig, t0, "t0", 0.0, list(zip(model.kernels, eig.phi.tolist())))
     nums = np.max(tails / eig.phi, axis=1)
     live = dens > 0.0
     if (nums[~live] > 0.0).any():
@@ -147,7 +148,8 @@ def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> fl
     f_idx = seed_set(f_set, model.d)
     if float(sum(eig.nu[i] for i in f_idx)) <= 0.0:
         raise ValueError("nu(F) must be positive")
-    tails, dens = _tail_table(model, eig, t1, "t1", lambda k, p, t: k.first_moment_tail(p, t))
+    images = [(k.phi_image(p), 1.0) for k, p in zip(model.kernels, eig.phi.tolist())]
+    tails, dens = _tail_table(eig, t1, "t1", 1.0, images)
     nums = np.min(tails[:, f_idx] / eig.phi[f_idx], axis=1)
     # a row with no tail mass anywhere holds vacuously and is skipped
     live = dens > 0.0

@@ -15,15 +15,15 @@ jump kernel in ``kernels``.  Two kernel families are supported:
 Divergent integrals return ``math.inf`` rather than raising: divergence is a
 meaningful verdict for the rate criteria downstream.
 
-Kernel protocol: callers use only these methods, never a kernel's class.
-``tail(t)`` (``t > 0``), ``partial_moment(k, lo, hi)`` (``0 <= lo < hi``) and
-``rmin_r2()`` integrate ``pi``; ``llogl``, ``p_moment``, ``log_moment`` and
-``first_moment_tail`` integrate ``pi^phi``; ``sample_tail_many`` and
+Kernel protocol: callers use only these nine methods, never a kernel's class.
+``partial_moment(k, lo, hi)`` (``0 <= lo < hi``) and ``log_moment(g)``
+integrate ``pi``; ``phi_image(phi_i)`` is the kernel of ``pi^phi``, the image
+of ``pi`` under ``r -> phi_i r``, so every ``pi^phi`` integral is a ``pi``
+integral of ``phi_image(phi_i)``.  ``sample_tail_many`` and
 ``sample_size_biased_tail`` draw above a level and raise
 ``ModelValidationError`` on an empty tail; ``split_level`` and
-``smallest_jump`` set the engine's jump split; ``scaled``, ``to_json`` and
-``from_json`` complete it.  A new family is one class with these methods and
-one ``KERNELS`` entry (``"kind": Class``).
+``smallest_jump`` set the engine's jump split; ``to_json`` and ``from_json``
+complete it.  A new family is one class and one ``KERNELS`` entry (``"kind": Class``).
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ class StablePowerLaw:
         if not (1.0 < self.alpha < 2.0):
             raise ModelValidationError("stable kernel needs alpha in (1, 2)")
 
-    def tail(self, t: float) -> float:
-        """``integral_t^inf pi(dr)`` = ``gamma * t**(-alpha) / alpha``."""
-        if t <= 0:
-            raise ValueError("tail needs t > 0")
-        if self.gamma == 0.0:
-            return 0.0
-        return self.gamma * t ** (-self.alpha) / self.alpha
-
     def partial_moment(self, k: float, lo: float, hi: float) -> float:
         """``integral_lo^hi r**k pi(dr)``; ``inf`` on divergence."""
         if not (0.0 <= lo < hi):
@@ -85,9 +77,7 @@ class StablePowerLaw:
             return 0.0
         s = k - self.alpha  # integrand r**(s-1)
         if hi == math.inf:
-            if s >= 0.0:
-                return math.inf
-            if lo == 0.0:
+            if s >= 0.0 or lo == 0.0:
                 return math.inf
             return self.gamma * lo**s / (-s)
         if lo == 0.0:
@@ -98,16 +88,16 @@ class StablePowerLaw:
             return self.gamma * math.log(hi / lo)
         return self.gamma * (hi**s - lo**s) / s
 
-    def rmin_r2(self) -> float:
-        """``integral (r wedge r^2) pi(dr)``, the boundedness functional."""
-        return self.gamma * (1.0 / (2.0 - self.alpha) + 1.0 / (self.alpha - 1.0))
+    def log_moment(self, g: float) -> float:
+        """``integral_1^inf r (log r)**(g+1) pi(dr)``."""
+        return self.gamma * math.gamma(g + 2.0) / (self.alpha - 1.0) ** (g + 2.0)
 
-    def scaled(self, factor: float) -> "StablePowerLaw":
-        """The same jump sizes at ``factor`` times the rate."""
-        return StablePowerLaw(gamma=self.gamma * factor, alpha=self.alpha)
+    def phi_image(self, phi_i: float) -> "StablePowerLaw":
+        """``pi^phi``, the image under ``r -> phi_i r``: density ``gamma phi_i**alpha r**(-1-alpha)``."""
+        return StablePowerLaw(gamma=self.gamma * phi_i**self.alpha, alpha=self.alpha)
 
     def split_level(self, rate_cap: float) -> float:
-        """The ``eps`` with ``tail(eps) == rate_cap``: infinitely many small jumps
+        """The ``eps`` with ``pi((eps, inf)) == rate_cap``: infinitely many small jumps
         force a split that holds the large-jump rate down.  0 without jumps."""
         return (self.gamma / (self.alpha * rate_cap)) ** (1.0 / self.alpha)
 
@@ -121,31 +111,6 @@ class StablePowerLaw:
     @classmethod
     def from_json(cls, obj: dict) -> "StablePowerLaw":
         return cls(gamma=obj["gamma"], alpha=obj["alpha"])
-
-    # Integrals over the phi-rescaled kernel ``pi^phi``, the image of ``pi``
-    # under ``r -> phi_i r``: density ``gamma phi_i**alpha r**(-1-alpha)``.
-
-    def llogl(self, phi_i: float) -> float:
-        """``integral_1^inf r log r pi^phi(dr)``."""
-        return self.gamma * phi_i**self.alpha / (self.alpha - 1.0) ** 2
-
-    def p_moment(self, phi_i: float, p: float) -> float:
-        """``integral_1^inf r**p pi^phi(dr)``; ``inf`` for ``p >= alpha``."""
-        if self.gamma == 0.0:
-            return 0.0
-        if p >= self.alpha:
-            return math.inf
-        return self.gamma * phi_i**self.alpha / (self.alpha - p)
-
-    def log_moment(self, phi_i: float, g: float) -> float:
-        """``integral_1^inf r (log r)**(g+1) pi^phi(dr)``."""
-        a = self.alpha
-        return self.gamma * phi_i**a * math.gamma(g + 2.0) / (a - 1.0) ** (g + 2.0)
-
-    def first_moment_tail(self, phi_i: float, t: float) -> float:
-        """``integral_t^inf r pi^phi(dr)``."""
-        a = self.alpha
-        return self.gamma * phi_i**a * t ** (1.0 - a) / (a - 1.0)
 
     def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` draws from ``pi`` restricted to ``(eps, inf)``, normalized."""
@@ -177,22 +142,16 @@ class AtomList:
                 raise ModelValidationError("atoms need r > 0 and w > 0")
         object.__setattr__(self, "atoms", atoms)
 
-    def tail(self, t: float) -> float:
-        if t <= 0:
-            raise ValueError("tail needs t > 0")
-        return sum(w for r, w in self.atoms if r > t)
-
     def partial_moment(self, k: float, lo: float, hi: float) -> float:
         if not (0.0 <= lo < hi):
             raise ValueError("need 0 <= lo < hi")
         return sum(w * r**k for r, w in self.atoms if lo < r <= hi)
 
-    def rmin_r2(self) -> float:
-        return sum(w * min(r, r * r) for r, w in self.atoms)
+    def log_moment(self, g: float) -> float:
+        return sum(w * r * math.log(r) ** (g + 1.0) for r, w in self.atoms if r > 1.0)
 
-    def scaled(self, factor: float) -> "AtomList":
-        """The same jump sizes at ``factor`` times the rate."""
-        return AtomList(atoms=tuple((r, w * factor) for r, w in self.atoms))
+    def phi_image(self, phi_i: float) -> "AtomList":
+        return AtomList(atoms=tuple((r * phi_i, w) for r, w in self.atoms))
 
     def split_level(self, rate_cap: float) -> float:
         """0: finitely many jumps need no split to bound their rate."""
@@ -207,22 +166,6 @@ class AtomList:
     @classmethod
     def from_json(cls, obj: dict) -> "AtomList":
         return cls(atoms=tuple((r, w) for r, w in obj["atoms"]))
-
-    def _above(self, phi_i: float, t: float):
-        """``(r phi_i, w)`` for the atoms of ``pi^phi`` above ``t``."""
-        return [(r * phi_i, w) for r, w in self.atoms if r * phi_i > t]
-
-    def llogl(self, phi_i: float) -> float:
-        return sum(w * y * math.log(y) for y, w in self._above(phi_i, 1.0))
-
-    def p_moment(self, phi_i: float, p: float) -> float:
-        return sum(w * y**p for y, w in self._above(phi_i, 1.0))
-
-    def log_moment(self, phi_i: float, g: float) -> float:
-        return sum(w * y * math.log(y) ** (g + 1.0) for y, w in self._above(phi_i, 1.0))
-
-    def first_moment_tail(self, phi_i: float, t: float) -> float:
-        return sum(w * y for y, w in self._above(phi_i, t))
 
     def _inverse_cdf(self, eps: float, u, size_biased: bool = False):
         """Atom picked by uniform(s) ``u`` from ``pi`` (or ``r pi``) above ``eps``."""
@@ -386,7 +329,7 @@ def validate_model(model: Model) -> ValidationReport:
         failures.append("reducible motion: Perron triple is not unique")
     if (model.alpha_diff < 0).any():
         failures.append("alpha_diff must be >= 0")
-    vals = [k.rmin_r2() for k in model.kernels]
+    vals = [k.partial_moment(2.0, 0.0, 1.0) + k.partial_moment(1.0, 1.0, math.inf) for k in model.kernels]
     for i, (kern, v) in enumerate(zip(model.kernels, vals)):
         bad = [key for key, p in kern.to_json().items() if key != "kind" and not np.isfinite(p).all()]
         if bad:

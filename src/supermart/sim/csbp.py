@@ -59,7 +59,7 @@ def auto_epsilon(
 ) -> float:
     """Split level so the expected large jumps per step stay near 0.1.
 
-    Each kernel's ``split_level`` solves ``tail(eps) * max_mass * dt = 0.1``
+    Each kernel's ``split_level`` solves ``pi((eps, inf)) * max_mass * dt = 0.1``
     with ``max_mass`` the mean total mass at the horizon (times a safety
     factor), and the largest wins.  When no kernel needs a split (finitely
     many jumps), the level is half the smallest jump, which makes every jump
@@ -162,7 +162,7 @@ def simulate_csbp(
         eps = auto_epsilon(model, eig, x0, h, cfg.horizon)
 
     kernels = model.kernels
-    rate_large = np.array([k.tail(eps) for k in kernels])
+    rate_large = np.array([k.partial_moment(0.0, eps, math.inf) for k in kernels])
     m1_large = np.array([k.partial_moment(1.0, eps, math.inf) for k in kernels])
     m2_small = np.array([k.partial_moment(2.0, 0.0, eps) for k in kernels])
     diff_coef = model.alpha_diff + m2_small

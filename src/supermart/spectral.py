@@ -32,7 +32,6 @@ __all__ = [
     "spectral_gap",
     "c_of_t",
     "assumption2_report",
-    "rescaled_model",
 ]
 
 _EIG_TOL = 1e-10
@@ -226,17 +225,3 @@ def assumption2_report(
     if hits.size:
         return {"t_star": float(grid[hits[0]]), "curve": curve}
     raise SpectralError(f"c_t did not settle below {target} within horizon {horizon:.3g}")
-
-
-def rescaled_model(model: Model, t_star: float) -> Model:
-    """Change the time unit so that ``t_star`` maps to 1.
-
-    Every rate in the model (motion, drift, diffusion coefficient, jump
-    kernel weights) is multiplied by ``t_star``; jump sizes are unchanged.
-    """
-    return Model(
-        q=model.q * t_star,
-        beta=model.beta * t_star,
-        alpha_diff=model.alpha_diff * t_star,
-        kernels=[k.scaled(t_star) for k in model.kernels],
-    )

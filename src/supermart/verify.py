@@ -140,9 +140,9 @@ def suite_transform(n_models: int = 40, seed: int = 414213) -> dict:
         for _ in range(8):
             t = float(rng.uniform(0.05, 20.0))
             direct = sum(w for r, w in atoms if r * phi_val > t)
-            via_tail = kern.tail(t / phi_val)
-            worst = max(worst, abs(direct - via_tail))
-            ok = ok and abs(direct - via_tail) <= 1e-12
+            via_image = kern.phi_image(phi_val).partial_moment(0.0, t, math.inf)
+            worst = max(worst, abs(direct - via_image))
+            ok = ok and abs(direct - via_image) <= 1e-12
         checks.append({"name": f"atoms_{idx}", "max_err": worst, "passed": ok})
     return _report("transform", checks)
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import cli_env
 
 import supermart as sm
+from supermart.io import config_hash
 
 BASE_MODEL = {
     "types": 1,
@@ -260,19 +261,81 @@ class TestBadSimSettings:
     @pytest.mark.parametrize(
         "kind,sim,needle",
         [
-            ("csbp", {"dt": 0.01, "horizon": 0.1}, "sim: dt must be <= 0.01 * horizon"),
-            ("spine", {"delta": 0.5}, "sim: delta must lie in (0, 0.01]"),
+            ("csbp", {"sim.dt": 0.01, "sim.horizon": 0.1}, "sim: dt must be <= 0.01 * horizon"),
+            ("spine", {"sim.delta": 0.5}, "sim: delta must lie in (0, 0.01]"),
+            # a setting the kind never reads is refused, not dropped
+            ("gw", {"x0": [-5.0, 3.0]}, "kind 'gw' does not read x0"),
+            ("gw", {"sim.dt": 0.5, "sim.horizon": 3}, "kind 'gw' does not read sim.dt"),
+            ("gw", {"sim.horizon": 3}, "kind 'gw' does not read sim.horizon"),
+            ("gw", {"sim.record_stride": 2}, "kind 'gw' does not read sim.record_stride"),
+            ("gw", {"sim.log_jumps": False}, "kind 'gw' does not read sim.log_jumps"),
+            ("gw", {"sim.epsilon": 0.5}, "kind 'gw' does not read sim.epsilon"),
+            ("gw", {"sim.delta": 1e-3}, "kind 'gw' does not read sim.delta"),
+            ("gw", {"analyses.criteria.F": [0]}, "kind 'gw' does not read analyses.criteria.F"),
+            ("gw", {"analyses.criteria.t0": 5.0}, "kind 'gw' does not read analyses.criteria.t0"),
+            ("gw", {"analyses.criteria.t1": 5.0}, "kind 'gw' does not read analyses.criteria.t1"),
+            ("gw", {"analyses.rates.F": [0]}, "kind 'gw' does not read analyses.rates.F"),
+            ("csbp", {"gw.generations": 5}, "kind 'csbp' does not read gw"),
+            ("csbp", {"sim.delta": 0.5}, "kind 'csbp' does not read sim.delta"),
+            ("csbp", {"sim.delta_floor": 1e-3}, "kind 'csbp' does not read sim.delta_floor"),
+            ("spine", {"gw.generations": 5}, "kind 'spine' does not read gw"),
         ],
     )
     def test_run(self, workdir, kind, sim, needle):
-        scn = scenario(kind=kind)
-        scn["sim"].update(sim)
+        # ``sim`` maps dotted scenario paths to the values set there
+        if kind == "gw":
+            scn = {
+                "model": GW_MODEL, "kind": "gw", "master_seed": 11, "gw": {"generations": 5},
+                "sim": {"paths": 20}, "analyses": {"criteria": {"p": [1.2]}, "rates": {"p": [1.2]}},
+                "out": "outdir",
+            }
+        else:
+            scn = scenario(kind=kind)
+        for key, value in sim.items():
+            *parents, leaf = key.split(".")
+            node = scn
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = value
         (workdir / "scn.json").write_text(json.dumps(scn))
         r = run_cli("run", "--config", "scn.json", cwd=workdir)
         assert r.returncode == 1, r.stderr
         assert needle in r.stderr
         assert "Traceback" not in r.stderr
         assert not (workdir / "outdir").exists()
+
+    @pytest.mark.parametrize("option,value", [("--dt", "0.5"), ("--horizon", "40"), ("--record-stride", "2")])
+    def test_simulate_gw_refuses_engine_options(self, workdir, option, value):
+        (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
+        r = run_cli(
+            "simulate", "gw", "--model", "gw.json", "--paths", "5", "--seed", "3",
+            option, value, "--out", "simout", cwd=workdir,
+        )
+        assert r.returncode == 1, r.stderr
+        assert f"error: simulate gw does not read {option}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "simout").exists()
+
+    def test_simulate_engine_defaults(self, workdir):
+        # without the options, the output and its config hash are those of
+        # dt 0.005, horizon 4 and record stride 1 given outright
+        common = ("simulate", "csbp", "--model", "model.json", "--paths", "3", "--seed", "3")
+        r = run_cli(*common, "--out", "a", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(
+            *common, "--dt", "0.005", "--horizon", "4", "--record-stride", "1", "--out", "b",
+            cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        for f in ("paths.csv", "jumps.csv"):
+            assert filecmp.cmp(workdir / "a" / f, workdir / "b" / f, shallow=False), f
+        want = config_hash(
+            {
+                "model": "model.json", "kind": "csbp", "master_seed": 3,
+                "sim": {"dt": 0.005, "horizon": 4.0, "paths": 3, "record_stride": 1},
+            }
+        )
+        assert f"# config_hash: {want}\n" in (workdir / "a" / "paths.csv").read_text()
 
     @pytest.mark.parametrize("x0", [[1.0, 2.0], [-1.0], [0.0]])
     def test_run_bad_x0(self, workdir, x0):
@@ -452,7 +515,7 @@ class TestRun:
             "model": {"kind": "gw", "pmf": [0.0] * 8 + [1.0]},
             "kind": "gw",
             "master_seed": 5,
-            "sim": {"dt": 0.01, "horizon": 1.0, "paths": 20},
+            "sim": {"paths": 20},
             "gw": {"generations": 25},
             "out": "gwout",
         }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import supermart as sm
 from supermart.criteria import evaluate_criteria, gw_predictions
+from supermart.model import StablePowerLaw
 
 from test_model import quad_stable, single_type
 
@@ -16,12 +17,78 @@ def reference_log_grid(t0):
     return np.geomspace(t0 * (1.0 + 1e-9), 1e6, n)
 
 
+# The closed forms the two kernels carried before every pi^phi integral became
+# an integral of the kernel phi_image(phi): the criteria must equal them bit for
+# bit.  ``phi`` is the eigenfunction value of the kernel's type.
+
+
+def old_tail(k, t):
+    if isinstance(k, StablePowerLaw):
+        return 0.0 if k.gamma == 0.0 else k.gamma * t ** (-k.alpha) / k.alpha
+    return sum(w for r, w in k.atoms if r > t)
+
+
+def _old_above(k, phi, t):
+    return [(r * phi, w) for r, w in k.atoms if r * phi > t]
+
+
+def old_llogl(k, phi):
+    if isinstance(k, StablePowerLaw):
+        return k.gamma * phi**k.alpha / (k.alpha - 1.0) ** 2
+    return sum(w * y * math.log(y) for y, w in _old_above(k, phi, 1.0))
+
+
+def old_p_moment(k, phi, p):
+    if isinstance(k, StablePowerLaw):
+        if k.gamma == 0.0:
+            return 0.0
+        if p >= k.alpha:
+            return math.inf
+        return k.gamma * phi**k.alpha / (k.alpha - p)
+    return sum(w * y**p for y, w in _old_above(k, phi, 1.0))
+
+
+def old_log_moment(k, phi, g):
+    if isinstance(k, StablePowerLaw):
+        a = k.alpha
+        return k.gamma * phi**a * math.gamma(g + 2.0) / (a - 1.0) ** (g + 2.0)
+    return sum(w * y * math.log(y) ** (g + 1.0) for y, w in _old_above(k, phi, 1.0))
+
+
+def old_first_moment_tail(k, phi, t):
+    if isinstance(k, StablePowerLaw):
+        a = k.alpha
+        return k.gamma * phi**a * t ** (1.0 - a) / (a - 1.0)
+    return sum(w * y for y, w in _old_above(k, phi, t))
+
+
+def old_nu_average(model, eig, per_type):
+    total = 0.0
+    for i in range(model.d):
+        v = per_type(model.kernels[i], float(eig.phi[i]))
+        if math.isinf(v):
+            return math.inf
+        total += float(eig.nu[i]) * v
+    return total
+
+
+def assert_moments_match_old(model, eig):
+    """``llogl``, ``p_moment`` and ``log_moment`` equal the old closed forms exactly."""
+    assert sm.llogl(model, eig) == old_nu_average(model, eig, old_llogl)
+    for p in (1.05, 1.2, 1.5, 1.8, 2.0):
+        want = old_nu_average(model, eig, lambda k, f: old_p_moment(k, f, p))
+        assert sm.p_moment(model, eig, p) == want, p
+    for g in (0.5, 1.0, 2.0):
+        want = old_nu_average(model, eig, lambda k, f: old_log_moment(k, f, g))
+        assert sm.log_moment(model, eig, g) == want, g
+
+
 def reference_B(model, eig, t0=10.0):
     """``uniform_tail_B`` as the per-t loop it replaced."""
     best = 0.0
     for t in reference_log_grid(t0):
         tails = np.array(
-            [model.kernels[i].tail(t / float(eig.phi[i])) for i in range(model.d)]
+            [old_tail(model.kernels[i], t / float(eig.phi[i])) for i in range(model.d)]
         )
         num = np.max(tails / eig.phi)
         den = float(eig.nu @ tails)
@@ -39,7 +106,7 @@ def reference_b(model, eig, f_set, t1=10.0):
     best = math.inf
     for t in reference_log_grid(t1):
         tails = np.array(
-            [model.kernels[i].first_moment_tail(float(eig.phi[i]), t) for i in range(model.d)]
+            [old_first_moment_tail(model.kernels[i], float(eig.phi[i]), t) for i in range(model.d)]
         )
         den = float(eig.nu @ tails)
         num = min(tails[i] / float(eig.phi[i]) for i in f_idx)
@@ -292,13 +359,15 @@ class TestLowerBoundB:
 
 
 class TestTailTableReference:
-    """``uniform_tail_B`` and ``lower_bound_b`` equal their old per-t loops exactly."""
+    """Every criterion equals the old closed forms exactly: the moments, and
+    ``uniform_tail_B`` and ``lower_bound_b`` as their old per-t loops."""
 
     @pytest.mark.parametrize("kernels", [ATOMS3, STABLE3, MIXED3], ids=["atoms", "stable", "mixed"])
     @pytest.mark.parametrize("t_lo", [0.5, 10.0, 3000.0])
     def test_fixed_models(self, kernels, t_lo):
         model = ring_model(kernels)
         eig = sm.principal_eigentriple(model)
+        assert_moments_match_old(model, eig)
         assert sm.uniform_tail_B(model, eig, t_lo) == reference_B(model, eig, t_lo)
         for f_set in ([0], [1], [2], [0, 2], [2, 0, 2], [0, 1, 2]):
             got = sm.lower_bound_b(model, eig, f_set, t_lo)
@@ -308,14 +377,29 @@ class TestTailTableReference:
     @settings(max_examples=60, deadline=None)
     def test_random_models(self, case):
         model, eig, t_lo, f_set = case
+        assert_moments_match_old(model, eig)
         assert sm.uniform_tail_B(model, eig, t_lo) == reference_B(model, eig, t_lo)
         assert sm.lower_bound_b(model, eig, f_set, t_lo) == reference_b(model, eig, f_set, t_lo)
 
     def test_zero_gamma_stable_kernel(self):
         model = ring_model([{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2)
         eig = sm.principal_eigentriple(model)
+        assert_moments_match_old(model, eig)
+        assert sm.llogl(model, eig) == sm.log_moment(model, eig, 1.0) == 0.0
         assert sm.uniform_tail_B(model, eig) == reference_B(model, eig) == 0.0
         assert sm.lower_bound_b(model, eig, [0, 1]) == reference_b(model, eig, [0, 1]) == 0.0
+
+    @pytest.mark.parametrize("phi", [0.5, 0.8, 2.0])
+    def test_atoms_on_both_sides_of_one_over_phi(self, phi):
+        # atoms below, at and above 1/phi (only those above count in the moments),
+        # and a stable kernel, at a phi below and above 1
+        atoms = [[0.4 / phi, 1.0], [1.0 / phi, 0.7], [1.5 / phi, 0.3], [30.0 / phi, 0.05]]
+        for kernels in ([{"kind": "atoms", "atoms": atoms}], [{"kind": "stable", "gamma": 0.4, "alpha": 1.3}]):
+            model = ring_model(kernels)
+            eig = eig1(phi)
+            assert_moments_match_old(model, eig)
+            assert sm.uniform_tail_B(model, eig, 0.5) == reference_B(model, eig, 0.5)
+            assert sm.lower_bound_b(model, eig, [0], 0.5) == reference_b(model, eig, [0], 0.5)
 
     def test_B_is_inf_where_only_a_nu_null_type_has_tail(self):
         # nu puts no mass on type 1, whose tail outlives type 0's atom at 2

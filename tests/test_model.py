@@ -164,17 +164,17 @@ class TestKernelTail:
     def test_stable_closed_form(self):
         k = kernel(STABLE)
         oracle = quad_stable(lambda r: 1.0, 1.0, 1.5, 2.0, math.inf)
-        assert k.tail(2.0) == pytest.approx(oracle, rel=1e-10)
-        assert k.tail(2.0) == pytest.approx(0.23570226039551584, rel=1e-12)
+        assert k.partial_moment(0.0, 2.0, math.inf) == pytest.approx(oracle, rel=1e-10)
+        assert k.partial_moment(0.0, 2.0, math.inf) == pytest.approx(0.23570226039551584, rel=1e-12)
 
     def test_atoms(self):
         k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
-        assert k.tail(1.0) == 3.0
-        assert k.tail(3.0) == 0.0
+        assert k.partial_moment(0.0, 1.0, math.inf) == 3.0
+        assert k.partial_moment(0.0, 3.0, math.inf) == 0.0
 
     def test_zero_kernel(self):
         k = kernel({"kind": "stable", "gamma": 0.0, "alpha": 1.5})
-        assert k.tail(0.5) == 0.0
+        assert k.partial_moment(0.0, 0.5, math.inf) == 0.0
 
 
 class TestPartialMoment:
@@ -199,25 +199,30 @@ class TestPartialMoment:
         assert got == pytest.approx(oracle, rel=1e-10)
 
 
+def image_tail(k, phi, t):
+    """``pi^phi((t, inf))``, the tail of the kernel ``phi_image(phi)``."""
+    return k.phi_image(phi).partial_moment(0.0, t, math.inf)
+
+
 class TestPhiTail:
-    """The tail of ``pi^phi`` at ``t`` is ``tail(t / phi)``, by change of variables."""
+    """The tail of ``pi^phi`` at ``t`` is the tail of ``pi`` at ``t / phi``."""
 
     def test_matches_kernel_tail_change_of_variables(self):
         k = kernel(STABLE)
-        assert k.tail(2.0 / 1.0) == pytest.approx(k.tail(2.0), rel=1e-14)
+        assert image_tail(k, 1.0, 2.0) == pytest.approx(k.partial_moment(0.0, 2.0, math.inf), rel=1e-14)
 
     def test_stable_closed_form_gamma2(self):
         k = kernel({"kind": "stable", "gamma": 2.0, "alpha": 1.2})
         oracle = quad_stable(lambda r: 1.0, 2.0, 1.2, 1.0 / 0.5, math.inf)
-        got = k.tail(1.0 / 0.5)
+        got = image_tail(k, 0.5, 1.0)
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got == pytest.approx((2.0 / 1.2) * 0.5**1.2, rel=1e-12)
         assert got == pytest.approx(0.7254588027467701, rel=1e-12)
 
     def test_atom_substitution(self):
         k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
-        assert k.tail(0.9 / 0.5) == 3.0
-        assert k.tail(1.1 / 0.5) == 0.0
+        assert image_tail(k, 0.5, 0.9) == 3.0
+        assert image_tail(k, 0.5, 1.1) == 0.0
 
     @given(
         atoms=st.lists(
@@ -234,8 +239,10 @@ class TestPhiTail:
     @settings(max_examples=120, deadline=None)
     def test_change_of_variables_property(self, atoms, phi, t):
         k = kernel({"kind": "atoms", "atoms": [list(a) for a in atoms]})
-        direct = sum(w for r, w in atoms if r > t / phi)
-        assert k.tail(t / phi) == pytest.approx(direct, abs=1e-12)
+        image = k.phi_image(phi)
+        assert image.atoms == tuple((r * phi, w) for r, w in k.atoms)
+        direct = sum(w for r, w in atoms if r * phi > t)
+        assert image.partial_moment(0.0, t, math.inf) == direct
 
     def test_stable_closed_form_vs_quadrature_log_grid(self):
         # relative error < 1e-8 across t in [1e-3, 1e6]
@@ -243,7 +250,42 @@ class TestPhiTail:
             k = kernel({"kind": "stable", "gamma": gamma, "alpha": alpha})
             for t in np.geomspace(1e-3, 1e6, 19):
                 oracle = quad_stable(lambda r: 1.0, gamma, alpha, t / 0.7, math.inf)
-                assert k.tail(float(t) / 0.7) == pytest.approx(oracle, rel=1e-8)
+                assert k.partial_moment(0.0, float(t) / 0.7, math.inf) == pytest.approx(oracle, rel=1e-8)
+
+
+class TestPhiImage:
+    """``phi_image(phi)`` is the kernel of ``pi^phi``, the image of ``pi`` under ``r -> phi r``."""
+
+    @pytest.mark.parametrize("gamma,alpha", [(0.5, 1.1), (1.0, 1.5), (2.0, 1.9)])
+    @pytest.mark.parametrize("phi", [0.3, 1.0, 2.5])
+    def test_stable_image_vs_quadrature(self, gamma, alpha, phi):
+        # the image's integrals against quadrature of gamma phi^alpha r^(-1-alpha)
+        image = kernel({"kind": "stable", "gamma": gamma, "alpha": alpha}).phi_image(phi)
+        g_phi = gamma * phi**alpha
+        cases = [
+            (image.partial_moment(0.0, 2.0, math.inf), lambda r: 1.0, 2.0, math.inf),
+            (image.partial_moment(1.0, 1.0, math.inf), lambda r: r, 1.0, math.inf),
+            (image.partial_moment(1.05, 1.0, math.inf), lambda r: r**1.05, 1.0, math.inf),
+            (image.partial_moment(2.0, 0.0, 1.0), lambda r: r * r, 0.0, 1.0),
+        ]
+        for got, f, lo, hi in cases:
+            assert got == pytest.approx(quad_stable(f, g_phi, alpha, lo, hi), rel=1e-10)
+        # log moments in the variable x = log r, where r pi^phi(dr) is
+        # g_phi e^(-(alpha-1) x) dx
+        for g in (0.0, 1.0):
+            oracle, _ = integrate.quad(
+                lambda x: g_phi * x ** (g + 1.0) * math.exp(-(alpha - 1.0) * x), 0.0, math.inf,
+                epsabs=0.0, epsrel=1e-12, limit=400,
+            )
+            assert image.log_moment(g) == pytest.approx(oracle, rel=1e-10)
+
+    def test_identity_and_zero_gamma(self):
+        k = kernel(STABLE)
+        assert k.phi_image(1.0) == k
+        assert kernel({"kind": "stable", "gamma": 0.0, "alpha": 1.5}).phi_image(3.0).gamma == 0.0
+        atoms = kernel({"kind": "atoms", "atoms": [[2.0, 3.0], [0.5, 1.0]]})
+        assert atoms.phi_image(1.0) == atoms
+        assert atoms.phi_image(4.0).atoms == ((8.0, 3.0), (2.0, 1.0))
 
 
 class TestSampleLargeJump:
@@ -260,9 +302,9 @@ class TestSampleLargeJump:
         samples = kern.sample_tail_many(eps, n, rng)
         # DKW band at confidence 0.999
         band = math.sqrt(math.log(2.0 / 0.001) / (2 * n))
-        denom = kern.tail(eps)
+        denom = kern.partial_moment(0.0, eps, math.inf)
         for t in np.geomspace(1.0, 50.0, 20):
-            target = kern.tail(float(t)) / denom
+            target = kern.partial_moment(0.0, float(t), math.inf) / denom
             emp = float(np.mean(samples > t))
             assert abs(emp - target) <= band
 
@@ -321,8 +363,7 @@ KERNEL_EXAMPLES = {
     "atoms": {"kind": "atoms", "atoms": [[0.1, 0.30000000000000004], [7.000000000000001, 2.0]]},
 }
 KERNEL_PROTOCOL = (
-    "tail", "partial_moment", "rmin_r2", "scaled", "llogl", "p_moment", "log_moment",
-    "first_moment_tail", "sample_tail_many", "sample_size_biased_tail",
+    "partial_moment", "log_moment", "phi_image", "sample_tail_many", "sample_size_biased_tail",
     "split_level", "smallest_jump", "to_json", "from_json",
 )
 
@@ -344,9 +385,6 @@ class TestKernelProtocol:
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_domain_checks(self, kind):
         kern = KERNELS[kind].from_json(KERNEL_EXAMPLES[kind])
-        for t in (0.0, -1.0):
-            with pytest.raises(ValueError, match="t > 0"):
-                kern.tail(t)
         for lo, hi in ((-1.0, 1.0), (2.0, 1.0), (1.0, 1.0)):
             with pytest.raises(ValueError, match="0 <= lo < hi"):
                 kern.partial_moment(1.0, lo, hi)

@@ -165,7 +165,7 @@ class TestJumps:
         eps = sm.auto_epsilon(stable1, eig, x0, dt=0.001, horizon=2.0)
         # expected large jumps per step at the max-mass scale is about 0.1
         max_mass = 2.0 * float(np.sum(x0)) * math.exp(eig.lam * 2.0)
-        rate = stable1.kernels[0].tail(eps) * max_mass * 0.001
+        rate = stable1.kernels[0].partial_moment(0.0, eps, math.inf) * max_mass * 0.001
         assert rate == pytest.approx(0.1, rel=1e-6)
 
     STABLE = {"kind": "stable", "gamma": 1.0, "alpha": 1.5}

@@ -350,13 +350,3 @@ class TestAssumption2Report:
         eig = sm.principal_eigentriple(symmetric2)
         with pytest.raises(ValueError, match=r"target must lie in \(0, 1\)"):
             sm.assumption2_report(symmetric2, eig, target)
-
-    def test_rescaled_model_moves_t_star_to_one(self, symmetric2):
-        from supermart.spectral import rescaled_model
-
-        eig = sm.principal_eigentriple(symmetric2)
-        rep = sm.assumption2_report(symmetric2, eig, 0.5)
-        m2 = rescaled_model(symmetric2, rep["t_star"])
-        eig2 = sm.principal_eigentriple(m2)
-        rep2 = sm.assumption2_report(m2, eig2, 0.5)
-        assert rep2["t_star"] == pytest.approx(1.0, rel=0.05)
