@@ -16,7 +16,6 @@ from .model import (
     model_to_json,
     gw_from_json,
     gw_to_json,
-    validate_model,
 )
 from .spectral import (
     CtCurve,

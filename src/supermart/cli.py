@@ -29,7 +29,6 @@ from .model import (
     model_from_json,
     model_to_json,
     seed_set,
-    validate_model,
 )
 from .spectral import assumption2_report, principal_eigentriple, spectral_gap
 from .criteria import Predictions, conjugate, evaluate_criteria, gw_predictions
@@ -178,16 +177,6 @@ def _require_ranges(what: str, **values) -> None:
         bad = [v for v in vals if not ok(v)]
         if bad:
             _fail(EXIT_MODEL, f"{what}: {name} = {bad[0]!r} is outside {span}")
-
-
-def _require_valid(model):
-    rep = validate_model(model)
-    if not rep.ok:
-        _fail(EXIT_MODEL, "; ".join(rep.failures))
-    try:
-        return principal_eigentriple(model)
-    except SupermartError as exc:
-        _fail(EXIT_MODEL, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +342,16 @@ def _rates_payload(ens, eig, preds, rate_cfg: dict):
     return fits, checks, curves
 
 
+def _clause(holds: bool, chk: dict) -> dict:
+    """A clause whose prediction is ``holds`` and whose observation is ``chk``'s verdict."""
+    expected = "holds" if holds else "fails-consistent"
+    return {
+        "predicted": expected,
+        "observed": chk["verdict"],
+        "verdict": "consistent" if chk["verdict"] == expected else "inconsistent",
+    }
+
+
 def _summary(preds, fits, checks) -> dict:
     """Map each theorem clause to {predicted, observed, verdict}."""
     clauses = {
@@ -374,22 +373,12 @@ def _summary(preds, fits, checks) -> dict:
             }
         chk = checks.get(f"as_rate_p{p:g}")
         if chk is not None:
-            expected = "holds" if item["as_rate_holds"] else "fails-consistent"
-            clauses[f"as_rate_p{p:g}"] = {
-                "predicted": expected,
-                "observed": chk["verdict"],
-                "verdict": "consistent" if chk["verdict"] == expected else "inconsistent",
-            }
+            clauses[f"as_rate_p{p:g}"] = _clause(item["as_rate_holds"], chk)
     for item in preds.per_gamma:
         g = item["gamma"]
         chk = checks.get(f"poly_gamma{g:g}")
         if chk is not None:
-            expected = "holds" if item["poly_rate_holds"] else "fails-consistent"
-            clauses[f"poly_rate_gamma{g:g}"] = {
-                "predicted": expected,
-                "observed": chk["verdict"],
-                "verdict": "consistent" if chk["verdict"] == expected else "inconsistent",
-            }
+            clauses[f"poly_rate_gamma{g:g}"] = _clause(item["poly_rate_holds"], chk)
     wl = checks.get("window_law")
     if wl is not None:
         ns = wl["n_values"]
@@ -409,7 +398,7 @@ def _summary(preds, fits, checks) -> dict:
 def cmd_eigen(args):
     model, gw = _resolve_model(args.model)
     _require_kind("eigen", "csbp", gw)
-    eig = _require_valid(model)
+    eig = principal_eigentriple(model)
     try:
         payload = _eigen_payload(model, eig, args.target)
     except ValueError as exc:
@@ -421,7 +410,7 @@ def cmd_eigen(args):
 
 def cmd_criteria(args):
     model, gw = _resolve_model(args.model)
-    eig = _require_valid(model) if model is not None else None
+    eig = principal_eigentriple(model) if model is not None else None
     try:
         f_set = None if args.F is None else [int(v) for v in args.F.split(",")]
     except ValueError:
@@ -452,7 +441,7 @@ def cmd_simulate(args):
     cfg = _sim_config(scn)
     model, gw = _resolve_model(args.model)
     _require_kind(f"simulate {args.kind}", args.kind, gw)
-    eig = _require_valid(model) if model is not None else None
+    eig = principal_eigentriple(model) if model is not None else None
     ens = _simulate(scn, cfg, model, gw, eig)
     print(_write_ensemble(ensure_dir(args.out or "."), ens, _meta(args.seed, scn)))
 
@@ -526,7 +515,7 @@ def cmd_run(args):
             _fail(EXIT_SCHEMA, str(exc))
     eig = None
     if model is not None:
-        eig = _require_valid(model)
+        eig = principal_eigentriple(model)
         rates_f = rates_cfg.get("F")
         if rates_f is not None:
             # window_law_check refuses it too, but only after the simulation

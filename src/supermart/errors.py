@@ -6,9 +6,10 @@ class SupermartError(Exception):
 
 
 class ModelValidationError(SupermartError):
-    """A model object violates a structural invariant."""
+    """A model object violates a structural invariant (bad shapes, non-finite
+    numbers, non-conservative or reducible motion, a divergent kernel integral)."""
 
 
 class SpectralError(SupermartError):
-    """Eigen machinery failed (non-supercritical, reducible, no convergence)."""
+    """Eigen machinery failed (non-supercritical, no convergence)."""
 

@@ -141,7 +141,8 @@ def read_paths_csv(path: str):
 
     ``lam`` and ``phi`` come from the metadata block, and a paths CSV without
     them is refused.  A ``jumps.csv`` beside it is read back as the jump log
-    (types 0-based again); one with another metadata block is refused.
+    (types 0-based again); one with another metadata block, a path id out of
+    order or outside the paths, or a type outside ``[1, d]`` is refused.
     """
     from .sim.records import Ensemble
 
@@ -175,7 +176,17 @@ def read_paths_csv(path: str):
             raise SupermartError(
                 f"{jumps_path} belongs to another run than {path} (metadata differs)"
             )
-        cuts = np.searchsorted(log[:, 0], np.arange(n_paths + 1))
+        pid, ty = log[:, 0], log[:, 2]
+        faults = (
+            ((pid != np.floor(pid)) | (pid < 0) | (pid >= n_paths) | (np.diff(pid, prepend=0.0) < 0),
+             f"path ids must be non-decreasing integers in [0, {n_paths})"),
+            ((ty != np.floor(ty)) | (ty < 1) | (ty > d), f"types must be integers in [1, {d}]"),
+        )
+        for bad, rule in faults:
+            if bad.any():
+                row = log[np.argmax(bad)].tolist()
+                raise SupermartError(f"{jumps_path}: jump row {row} does not fit {path}: {rule}")
+        cuts = np.searchsorted(pid, np.arange(n_paths + 1))
         log = log[:, 1:] - np.array([0.0, 1.0, 0.0])
         jumps = [log[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     return Ensemble(times=times, M=m, masses=masses, lam=lam, phi=phi, jumps=jumps), meta

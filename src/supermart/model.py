@@ -3,7 +3,9 @@
 A `Model` is one flat record of ``d`` types (``1..d``, stored
 ``0``-indexed): the conservative rate matrix ``q`` of the spatial motion, and
 per type the drift ``beta``, the diffusion coefficient ``alpha_diff`` and a
-jump kernel in ``kernels``.  Two kernel families are supported:
+jump kernel in ``kernels``.  A `Model` is valid by construction: its
+``__post_init__`` is the one place that checks the standing assumptions of
+the rate theorems.  Two kernel families are supported:
 
 * ``StablePowerLaw(gamma, alpha)`` -- density ``gamma * r**(-1-alpha)`` on
   ``(0, inf)`` with ``alpha`` in ``(1, 2)``; every moment integral used by the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,8 +46,6 @@ __all__ = [
     "KERNELS",
     "Model",
     "GWModel",
-    "ValidationReport",
-    "validate_model",
     "seed_set",
     "model_to_json",
     "model_from_json",
@@ -202,6 +202,12 @@ class Model:
     ``q`` is the ``(d, d)`` rate matrix of the motion; ``beta``,
     ``alpha_diff`` and ``kernels`` hold one drift, diffusion coefficient and
     jump kernel per type.  The arrays are stored read-only.
+
+    Construction refuses a model the rate theorems do not cover, naming every
+    fault in one `ModelValidationError`: bad shapes first, then non-finite
+    numbers, non-conservative or reducible motion, a negative off-diagonal
+    rate, ``alpha_diff < 0`` and a divergent ``integral (r wedge r^2) pi_i(dr)``.
+    Supercriticality (``lambda > 0``) is left to the spectral layer.
     """
 
     q: np.ndarray
@@ -226,6 +232,27 @@ class Model:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "kernels", kernels)
+        arrays = {"Q": q, "beta": beta, "alpha_diff": alpha_diff}
+        failures = [f"non-finite {k}: {v.tolist()}" for k, v in arrays.items() if not np.isfinite(v).all()]
+        defects = q.sum(axis=1)
+        if np.max(np.abs(defects)) > _ROW_SUM_TOL:
+            failures.append(f"non-conservative motion: row sums {defects.tolist()}")
+        if (q - np.diag(np.diag(q)) < -_ROW_SUM_TOL).any():
+            failures.append("negative off-diagonal motion rate")
+        if not self.is_irreducible():
+            failures.append("reducible motion: Perron triple is not unique")
+        if (alpha_diff < 0).any():
+            failures.append("alpha_diff must be >= 0")
+        for i, kern in enumerate(kernels):
+            obj = kern.to_json()
+            bad = [key for key, p in obj.items() if key != "kind" and not np.isfinite(p).all()]
+            rmin_r2 = kern.partial_moment(2.0, 0.0, 1.0) + kern.partial_moment(1.0, 1.0, math.inf)
+            if bad:
+                failures.append(f"type {i}: non-finite kernel {', '.join(bad)}: {obj}")
+            elif not math.isfinite(rmin_r2):
+                failures.append(f"type {i}: (r wedge r^2) integral diverges")
+        if failures:
+            raise ModelValidationError("; ".join(failures))
 
     @property
     def d(self) -> int:
@@ -295,48 +322,6 @@ class GWModel:
         s = float(np.sum(k ** (-a) * np.log(k) ** (1.0 + g)))
         tail = terms ** (1.0 - a) / (a - 1.0) * math.log(terms) ** (1.0 + g)
         return (s + tail) / float(zeta(1.0 + a))
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass
-class ValidationReport:
-    """Structured outcome of `validate_model`; never raises."""
-
-    ok: bool
-    rmin_r2: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-
-def validate_model(model: Model) -> ValidationReport:
-    """Check the structural assumptions that make a model usable.
-
-    Reports the per-type value of ``integral (r wedge r^2) pi_i(dr)`` and
-    collects failures (non-finite numbers, non-conservative motion, negative
-    rates, reducibility) instead of aborting.  Supercriticality (``lambda > 0``) is checked later
-    by the spectral layer.
-    """
-    arrays = {"Q": model.q, "beta": model.beta, "alpha_diff": model.alpha_diff}
-    failures = [f"non-finite {k}: {v.tolist()}" for k, v in arrays.items() if not np.isfinite(v).all()]
-    defects = model.q.sum(axis=1)
-    if np.max(np.abs(defects)) > _ROW_SUM_TOL:
-        failures.append(f"non-conservative motion: row sums {defects.tolist()}")
-    if (model.q - np.diag(np.diag(model.q)) < -_ROW_SUM_TOL).any():
-        failures.append("negative off-diagonal motion rate")
-    if not model.is_irreducible():
-        failures.append("reducible motion: Perron triple is not unique")
-    if (model.alpha_diff < 0).any():
-        failures.append("alpha_diff must be >= 0")
-    vals = [k.partial_moment(2.0, 0.0, 1.0) + k.partial_moment(1.0, 1.0, math.inf) for k in model.kernels]
-    for i, (kern, v) in enumerate(zip(model.kernels, vals)):
-        bad = [key for key, p in kern.to_json().items() if key != "kind" and not np.isfinite(p).all()]
-        if bad:
-            failures.append(f"type {i}: non-finite kernel {', '.join(bad)}: {kern.to_json()}")
-        elif not math.isfinite(v):
-            failures.append(f"type {i}: (r wedge r^2) integral diverges")
-    return ValidationReport(ok=not failures, rmin_r2=vals, failures=failures)
 
 
 def seed_set(f_set, d: int) -> list:

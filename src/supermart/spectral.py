@@ -105,10 +105,9 @@ def principal_eigentriple(model: Model) -> Eigentriple:
 
     Dense eigendecomposition picks the eigenvalue of maximal real part; one
     inverse-iteration polish step refines both eigenvectors before the
-    residual check.  Raises for reducible motion and for ``lambda <= 0``.
+    residual check.  Raises for ``lambda <= 0``; reducible motion never gets
+    here, since `Model` construction refuses it.
     """
-    if not model.is_irreducible():
-        raise SpectralError("reducible motion: no unique Perron triple")
     a = generator_matrix(model)
     w, vl, vr = linalg.eig(a, left=True, right=True)
     i = int(np.argmax(w.real))

@@ -390,6 +390,16 @@ class TestModelShape:
         assert not (workdir / "eigen.json").exists()
 
 
+    def test_eigen_refuses_reducible_motion(self, workdir):
+        bad = {**BASE_MODEL, "types": 2, "Q": [[0.0, 0.0], [0.0, 0.0]], "beta": [1.0, 1.0],
+               "alpha": [0.5, 0.5], "kernels": BASE_MODEL["kernels"] * 2}
+        r = run_cli("eigen", "--model", json.dumps(bad), cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "error: reducible motion: Perron triple is not unique" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "eigen.json").exists()
+
+
 class TestRun:
     def test_minimal_deterministic_scenario_all_consistent(self, workdir):
         # noiseless model: every verdict is trivially consistent
@@ -656,6 +666,31 @@ class TestPathsFileRoundTrip:
         r = run_cli("functionals", "--paths", "outdir/paths.csv", cwd=workdir)
         assert r.returncode == 2
         assert "jumps.csv" in r.stderr
+
+    @pytest.mark.parametrize(
+        "rows,needle",
+        [
+            (["7,1.5,1,1000000"], "path ids must be non-decreasing integers in [0, 3)"),
+            (["-1,1.5,1,1"], "path ids must be non-decreasing integers in [0, 3)"),
+            (["2,1.5,1,1", "0,1.5,1,1"], "path ids must be non-decreasing integers in [0, 3)"),
+            (["2,1.5,0,1"], "types must be integers in [1, 1]"),
+            (["2,1.5,2,1"], "types must be integers in [1, 1]"),
+        ],
+        ids=["id-above", "id-negative", "ids-unsorted", "type-0", "type-above"],
+    )
+    def test_jump_log_that_does_not_fit_exit_2(self, workdir, rows, needle):
+        r = run_cli(
+            "simulate", "csbp", "--model", "model.json", "--paths", "3", "--seed", "3",
+            "--dt", "0.01", "--horizon", "1.0", "--out", "simout", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        jumps_csv = workdir / "simout" / "jumps.csv"
+        jumps_csv.write_text(jumps_csv.read_text() + "".join(row + "\n" for row in rows))
+        r = run_cli("functionals", "--paths", "simout/paths.csv", "--kinds", "Atilde", cwd=workdir)
+        assert r.returncode == 2, r.stderr
+        assert "jumps.csv" in r.stderr and needle in r.stderr, r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "functionals.csv").exists()
 
     def test_rates_on_gw_paths_uses_log_mean(self, workdir):
         import math

@@ -53,46 +53,67 @@ def single_type(kernel_json, alpha_diff=0.0, beta=1.0):
 STABLE = {"kind": "stable", "gamma": 1.0, "alpha": 1.5}
 
 
+def rmin_r2(k):
+    """``integral (r wedge r^2) pi(dr)``; `Model` construction requires it finite."""
+    return k.partial_moment(2.0, 0.0, 1.0) + k.partial_moment(1.0, 1.0, math.inf)
+
+
+def two_types(**change):
+    obj = {
+        "types": 2,
+        "Q": [[-1.0, 1.0], [1.0, -1.0]],
+        "beta": [1.0, 1.0],
+        "alpha": [0.0, 0.0],
+        "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
+    }
+    return {**obj, **change}
+
+
 class TestValidateModel:
+    """`Model` construction raises one `ModelValidationError` naming every fault."""
+
     def test_stable_rmin_r2_matches_quadrature(self):
         # oracle: int (r ^ r^2) pi(dr) over (0,1] and [1,inf)
         oracle = quad_stable(lambda r: min(r, r * r), 1.0, 1.5, 0.0, math.inf)
-        rep = sm.validate_model(single_type(STABLE))
-        assert rep.ok
-        assert rep.rmin_r2[0] == pytest.approx(oracle, rel=1e-9)
-        assert rep.rmin_r2[0] == pytest.approx(4.0, rel=1e-12)
+        k = single_type(STABLE).kernels[0]
+        assert rmin_r2(k) == pytest.approx(oracle, rel=1e-9)
+        assert rmin_r2(k) == pytest.approx(4.0, rel=1e-12)
 
     def test_single_atom_value(self):
-        rep = sm.validate_model(single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]}))
-        assert rep.ok
-        assert rep.rmin_r2[0] == pytest.approx(3.0 * min(2.0, 4.0))
+        k = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]}).kernels[0]
+        assert rmin_r2(k) == pytest.approx(3.0 * min(2.0, 4.0))
+
+    def refusal(self, **change) -> str:
+        with pytest.raises(ModelValidationError) as exc:
+            sm.model_from_json(two_types(**change))
+        return str(exc.value)
 
     def test_nonconservative_motion_flagged(self):
-        bad = sm.model_from_json(
-            {
-                "types": 2,
-                "Q": [[-1.0, 1.1], [1.0, -1.0]],
-                "beta": [1.0, 1.0],
-                "alpha": [0.0, 0.0],
-                "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
-            }
-        )
-        rep = sm.validate_model(bad)
-        assert not rep.ok
-        assert any("non-conservative" in f for f in rep.failures)
+        msg = self.refusal(Q=[[-1.0, 1.1], [1.0, -1.0]])
+        assert msg == "non-conservative motion: row sums [0.10000000000000009, 0.0]"
 
     def test_reducible_flagged(self):
-        m = sm.model_from_json(
-            {
-                "types": 2,
-                "Q": [[0.0, 0.0], [0.0, 0.0]],
-                "beta": [1.0, 1.0],
-                "alpha": [0.0, 0.0],
-                "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
-            }
-        )
-        rep = sm.validate_model(m)
-        assert any("reducible" in f for f in rep.failures)
+        msg = self.refusal(Q=[[0.0, 0.0], [0.0, 0.0]])
+        assert msg == "reducible motion: Perron triple is not unique"
+
+    def test_negative_off_diagonal_rate_flagged(self):
+        # the negative rate also cuts the only edge from type 0 to type 1
+        msg = self.refusal(Q=[[1.0, -1.0], [2.0, -2.0]])
+        assert msg == "negative off-diagonal motion rate; reducible motion: Perron triple is not unique"
+
+    def test_negative_alpha_diff_flagged(self):
+        assert self.refusal(alpha=[0.0, -0.5]) == "alpha_diff must be >= 0"
+
+    def test_two_faults_in_one_message(self):
+        faults = self.refusal(Q=[[-1.0, 1.1], [1.0, -1.0]], alpha=[-0.5, 0.0]).split("; ")
+        assert len(faults) == 2
+        assert faults[0].startswith("non-conservative motion: row sums")
+        assert faults[1] == "alpha_diff must be >= 0"
+
+    def test_direct_construction_refuses(self):
+        with pytest.raises(ModelValidationError, match="reducible motion"):
+            sm.Model(q=np.zeros((2, 2)), beta=[1.0, 1.0], alpha_diff=[0.0, 0.0],
+                     kernels=(StablePowerLaw(0.0, 1.5),) * 2)
 
     @pytest.mark.parametrize(
         "field,change",
@@ -107,16 +128,16 @@ class TestValidateModel:
     )
     def test_non_finite_numbers_named(self, field, change):
         obj = {"types": 1, "Q": [[0.0]], "beta": [1.0], "alpha": [0.2], "kernels": [STABLE]}
-        rep = sm.validate_model(sm.model_from_json({**obj, **change}))
-        assert not rep.ok
-        assert any(f"non-finite {field}" in f or f"non-finite kernel {field}" in f
-                   for f in rep.failures), rep.failures
-        assert not any("diverges" in f for f in rep.failures)
+        with pytest.raises(ModelValidationError) as exc:
+            sm.model_from_json({**obj, **change})
+        faults = str(exc.value).split("; ")
+        assert any(f.startswith(f"non-finite {field}: ") or f"non-finite kernel {field}: " in f
+                   for f in faults), faults
+        assert not any("diverges" in f for f in faults)
 
     def test_every_stable_alpha_accepted(self):
         for a in (1.05, 1.3, 1.5, 1.7, 1.95):
-            rep = sm.validate_model(single_type({"kind": "stable", "gamma": 2.0, "alpha": a}))
-            assert rep.ok
+            single_type({"kind": "stable", "gamma": 2.0, "alpha": a})
 
 
 TWO_TYPES = {

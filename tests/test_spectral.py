@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 import supermart as sm
-from supermart.errors import SpectralError
+from supermart.errors import ModelValidationError, SpectralError
 from supermart.spectral import generator_matrix
 
 
@@ -156,17 +156,17 @@ class TestPrincipalEigentriple:
             sm.principal_eigentriple(m)
 
     def test_reducible_rejected(self):
-        m = sm.model_from_json(
-            {
-                "types": 2,
-                "Q": [[0.0, 0.0], [0.0, 0.0]],
-                "beta": [1.0, 1.0],
-                "alpha": [0.0, 0.0],
-                "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
-            }
-        )
-        with pytest.raises(SpectralError, match="reducible"):
-            sm.principal_eigentriple(m)
+        # no reducible model reaches principal_eigentriple: construction refuses it
+        with pytest.raises(ModelValidationError, match="reducible motion"):
+            sm.model_from_json(
+                {
+                    "types": 2,
+                    "Q": [[0.0, 0.0], [0.0, 0.0]],
+                    "beta": [1.0, 1.0],
+                    "alpha": [0.0, 0.0],
+                    "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}] * 2,
+                }
+            )
 
     @given(model=random_irreducible())
     @settings(max_examples=60, deadline=None)
