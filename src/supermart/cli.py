@@ -47,6 +47,8 @@ from .io import (
 )
 from .verify import run_suite
 
+FUNCTIONAL_KINDS = ["M", "A", "Atilde", "C", "Ctilde"]
+
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["model", "kind", "master_seed"],
@@ -96,7 +98,7 @@ SCENARIO_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "kinds": {"type": "array", "items": {"type": "string"}},
+                        "kinds": {"type": "array", "minItems": 1, "items": {"enum": FUNCTIONAL_KINDS}},
                         "p": {"type": "number"},
                         "a_star": {"type": "number"},
                         "gamma": {"type": "number"},
@@ -200,6 +202,7 @@ def _criteria(model, gw, eig, cfg: dict):
     """criteria.json payload and the `Predictions` the rate checks test."""
     p_values = tuple(cfg.get("p", []))
     gamma_values = tuple(cfg.get("gamma", []))
+    _require_ranges("criteria", p=p_values, gamma=gamma_values)
     if gw is not None:
         preds = gw_predictions(gw, p_values=p_values, gamma_values=gamma_values)
         return preds.as_dict(), preds
@@ -293,8 +296,8 @@ def _write_ensemble(out_dir: str, ens, meta: dict) -> str:
 def _functional_rows(ens, kinds, max_paths: int, a_star: float, p: float, gamma: float) -> list:
     """``(path_id, kind, t, value)`` rows of per-path curves, kinds in the order given.
 
-    Only the first ``max_paths`` paths are read.  Unknown kinds are skipped;
-    ``C`` and ``Ctilde`` share one `c_functionals` call.
+    Only the first ``max_paths`` paths are read; ``kinds`` are names of
+    `FUNCTIONAL_KINDS`, and ``C`` and ``Ctilde`` share one `c_functionals` call.
     """
     ens = ens.select(slice(0, max_paths))
     minf = ens.M[:, -1]
@@ -306,11 +309,9 @@ def _functional_rows(ens, kinds, max_paths: int, a_star: float, p: float, gamma:
             curves.append(a_functional(ens, minf, a_star))
         elif kind == "Atilde":
             curves.append(a_tilde_functional(ens, p))
-        elif kind in ("C", "Ctilde"):
+        else:
             c_pair = c_pair or c_functionals(ens, minf, gamma)
             curves.append(c_pair[kind == "Ctilde"])
-    if not curves:
-        return []
     # path by path, then kind by kind, then time by time
     values = np.stack([c.values for c in curves], axis=1)
     n, k, n_t = values.shape
@@ -410,19 +411,18 @@ def cmd_eigen(args):
 
 def cmd_criteria(args):
     model, gw = _resolve_model(args.model)
-    eig = principal_eigentriple(model) if model is not None else None
-    try:
-        f_set = None if args.F is None else [int(v) for v in args.F.split(",")]
-    except ValueError:
-        _fail(EXIT_MODEL, f"criteria: --F must be comma-separated type indices, got {args.F!r}")
-    cfg = {
-        "p": args.p,
-        "gamma": args.gamma,
-        "F": f_set,
-        "t0": args.t0,
-        "t1": args.t1,
+    given = {
+        name: getattr(args, name) for name in ("F", "t0", "t1") if getattr(args, name) is not None
     }
-    doc, _ = _criteria(model, gw, eig, cfg)
+    if gw is not None and given:
+        _fail(EXIT_SCHEMA, f"criteria on a Galton-Watson model does not read --{next(iter(given))}")
+    eig = principal_eigentriple(model) if model is not None else None
+    if "F" in given:
+        try:
+            given["F"] = [int(v) for v in args.F.split(",")]
+        except ValueError:
+            _fail(EXIT_MODEL, f"criteria: --F must be comma-separated type indices, got {args.F!r}")
+    doc, _ = _criteria(model, gw, eig, {"p": args.p, "gamma": args.gamma, **given})
     out = args.out or "criteria.json"
     write_json(out, doc, _meta(None, model_to_json(model) if gw is None else gw_to_json(gw)))
     print(out)
@@ -524,6 +524,7 @@ def cmd_run(args):
             except ValueError as exc:
                 _fail(EXIT_MODEL, f"rates: {exc}")
 
+    criteria_doc, preds = _criteria(model, gw, eig, analyses.get("criteria", {}))
     out_dir = ensure_dir(args.out or scn.get("out", "supermart_out"))
     meta = _meta(scn["master_seed"], scn)
     if model is not None:
@@ -531,7 +532,6 @@ def cmd_run(args):
         write_json(os.path.join(out_dir, "eigen.json"), _eigen_payload(model, eig, 0.5), meta)
     else:
         write_json(os.path.join(out_dir, "model.json"), gw_to_json(gw), meta)
-    criteria_doc, preds = _criteria(model, gw, eig, analyses.get("criteria", {}))
     write_json(os.path.join(out_dir, "criteria.json"), criteria_doc, meta)
 
     ens = _simulate(scn, cfg, model, gw, eig)
@@ -581,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, action="append", default=[])
     p.add_argument("--gamma", type=float, action="append", default=[])
     p.add_argument("--F", default=None, help="comma-separated type indices (0-based)")
-    p.add_argument("--t0", type=float, default=10.0)
-    p.add_argument("--t1", type=float, default=10.0)
+    p.add_argument("--t0", type=float, help="CSBP only; 10 by default")
+    p.add_argument("--t1", type=float, help="CSBP only; 10 by default")
     p.add_argument("--out")
     p.set_defaults(func=cmd_criteria)
 
@@ -599,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("functionals", help="per-path functional curves from a paths CSV")
     p.add_argument("--paths", required=True)
-    p.add_argument("--kinds", nargs="+", default=["A", "Atilde", "C", "Ctilde"])
+    p.add_argument(
+        "--kinds", nargs="+", choices=FUNCTIONAL_KINDS, default=["A", "Atilde", "C", "Ctilde"]
+    )
     p.add_argument("--a-star", type=float, default=2.0, dest="a_star")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)

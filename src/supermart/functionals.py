@@ -69,22 +69,20 @@ def _stieltjes_with_jumps(ens, weight) -> np.ndarray:
 
     Each recorded increment is split into its logged-jump part (weighted at
     the true jump times) and the remainder (weighted at the left endpoint).
-    The jump logs are concatenated in path order and placed by one scatter
-    over ``(path, index)`` pairs.
+    The rows ``path_id, t, type, size`` of ``ens.jumps`` are placed by one
+    scatter over ``(path, index)`` pairs.
     """
     t = ens.times
     w_left = weight(t[:-1])
     contrib = w_left * np.diff(ens.M, axis=1)
     if ens.jumps is not None:
-        jumps = np.concatenate(ens.jumps)
-        if len(jumps):
-            row = np.repeat(np.arange(ens.n_paths), [len(j) for j in ens.jumps])
-            # a jump in [t_k, t_{k+1}) lands in the increment M_{k+1} - M_k
-            tau = jumps[:, 0]
-            dm_jump = np.exp(-ens.lam * tau) * ens.phi[jumps[:, 1].astype(int)] * jumps[:, 2]
-            idx = np.clip(np.searchsorted(t, tau, side="right") - 1, 0, len(t) - 2)
-            np.subtract.at(contrib, (row, idx), w_left[idx] * dm_jump)
-            np.add.at(contrib, (row, idx), weight(tau) * dm_jump)
+        row, tau, ty, size = ens.jumps.T
+        dm_jump = np.exp(-ens.lam * tau) * ens.phi[ty.astype(int)] * size
+        # a jump in [t_k, t_{k+1}) lands in the increment M_{k+1} - M_k
+        idx = np.clip(np.searchsorted(t, tau, side="right") - 1, 0, len(t) - 2)
+        cells = (row.astype(int), idx)
+        np.subtract.at(contrib, cells, w_left[idx] * dm_jump)
+        np.add.at(contrib, cells, weight(tau) * dm_jump)
     out = np.zeros(ens.M.shape)
     out[:, 1:] = np.cumsum(contrib, axis=1)
     return out

@@ -103,17 +103,19 @@ def write_paths_csv(path: str, ensemble, meta: dict) -> None:
 
 
 def write_jumps_csv(path: str, ensemble, meta: dict) -> None:
-    """Sidecar jump log: ``path_id,t,type,size`` (types are 1-based).
+    """Sidecar jump log: ``ensemble.jumps`` as ``path_id,t,type,size``, types 1-based.
 
     Its metadata block is the one `write_paths_csv` writes for the same
     ensemble, which is how `read_paths_csv` tells that the two belong together.
     """
-    row = "{}," + _FMT + ",{:.0f}," + _FMT + "\n"
+    row = "{:.0f}," + _FMT + ",{:.0f}," + _FMT + "\n"
+    jumps = ensemble.jumps
     with open(path, "w") as fh:
         _write_head(fh, _ensemble_meta(ensemble, meta), "path_id,t,type,size")
-        for pid, arr in enumerate(ensemble.jumps or ()):
-            table = np.asarray(arr).reshape(-1, 3).tolist()
-            fh.write("".join([row.format(pid, t, ty + 1, r) for t, ty, r in table]))
+        # in blocks of rows, so that only one block's text is held at a time
+        for start in range(0, len(jumps), 4096):
+            block = jumps[start : start + 4096].tolist()
+            fh.write("".join([row.format(pid, t, ty + 1, r) for pid, t, ty, r in block]))
 
 
 def _read_csv(path: str):
@@ -140,9 +142,9 @@ def read_paths_csv(path: str):
     """Rebuild the Ensemble of a paths CSV; returns it with the metadata dict.
 
     ``lam`` and ``phi`` come from the metadata block, and a paths CSV without
-    them is refused.  A ``jumps.csv`` beside it is read back as the jump log
-    (types 0-based again); one with another metadata block, a path id out of
-    order or outside the paths, or a type outside ``[1, d]`` is refused.
+    them is refused.  A ``jumps.csv`` beside it is read back as `Ensemble.jumps`
+    (its table, types 0-based again); one with another metadata block, a path
+    id out of order or outside the paths, or a type outside ``[1, d]`` is refused.
     """
     from .sim.records import Ensemble
 
@@ -186,9 +188,7 @@ def read_paths_csv(path: str):
             if bad.any():
                 row = log[np.argmax(bad)].tolist()
                 raise SupermartError(f"{jumps_path}: jump row {row} does not fit {path}: {rule}")
-        cuts = np.searchsorted(pid, np.arange(n_paths + 1))
-        log = log[:, 1:] - np.array([0.0, 1.0, 0.0])
-        jumps = [log[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        jumps = log - [0.0, 0.0, 1.0, 0.0]
     return Ensemble(times=times, M=m, masses=masses, lam=lam, phi=phi, jumps=jumps), meta
 
 

@@ -189,7 +189,7 @@ def simulate_csbp(
     masses = np.empty((cfg.paths, n_rec, d))
     m_out = np.empty((cfg.paths, n_rec))
     clipped = np.zeros(cfg.paths)
-    jumps: list | None = [None] * cfg.paths if cfg.log_jumps else None
+    jump_blocks = [np.empty((0, 4))]  # rows path_id, t, type, size
     total0 = float(np.sum(x0))
 
     # uniform plane layout per step: large-jump counts (only when the model
@@ -214,7 +214,6 @@ def simulate_csbp(
         # views of this chunk's rows of the outputs, filled in place
         mass_rec = masses[start : pids.stop]
         clip_acc = clipped[start : pids.stop]
-        jump_logs = [[] for _ in range(c)] if cfg.log_jumps else None
         x = np.tile(x0, (c, 1))
         mass_rec[:, 0, :] = x
 
@@ -251,16 +250,16 @@ def simulate_csbp(
             if has_jumps:
                 counts = _poisson_counts(u[:, k, :d], x * rate_h)
                 if counts.any():
-                    t_left = k * h
                     for j, i in zip(*np.nonzero(counts)):
                         n = int(counts[j, i])
                         rng = streams[j, "sizes"]
                         sizes = kernels[i].sample_tail_many(eps, n, rng)
                         x_new[j, i] += sizes.sum()
                         if cfg.log_jumps:
-                            t_jump = t_left + h * rng.random(n)
-                            for tt, rr in zip(t_jump, sizes):
-                                jump_logs[j].append((tt, i, rr))
+                            t_jump = k * h + h * rng.random(n)
+                            jump_blocks.append(
+                                np.column_stack([np.full(n, start + j), t_jump, np.full(n, i), sizes])
+                            )
 
             if immigration is not None:
                 x_new = x_new + immigration.step_mass(k, x, u[:, k, d:], streams, imm_ctx)
@@ -275,14 +274,13 @@ def simulate_csbp(
                 mass_rec[:, pos, :] = x
 
         m_out[start : pids.stop] = decay * (mass_rec @ eig.phi)
-        if cfg.log_jumps:
-            for pid, log in zip(pids, jump_logs):
-                arr = np.array(log, dtype=float).reshape(-1, 3)
-                jumps[pid] = arr[np.argsort(arr[:, 0], kind="stable")]
         # free this chunk's planes before the next chunk draws its own
         del g, u, imm_ctx
 
     flagged = clipped > _CLIP_BUDGET * total0 * cfg.horizon
+    log = np.concatenate(jump_blocks)
+    # by path, then by time; lexsort is stable, so ties keep their draw order
+    jumps = log[np.lexsort((log[:, 1], log[:, 0]))] if cfg.log_jumps else None
     return Ensemble(
         times=times,
         M=m_out,

@@ -235,7 +235,12 @@ class SpineConfig(SimConfig):
 
 @dataclass
 class Ensemble:
-    """Column-stacked records of many paths on one shared grid."""
+    """Column-stacked records of many paths on one shared grid.
+
+    ``jumps`` (None when not logged) has one row ``path_id, t, type, size``
+    per logged jump, ``type`` 0-based, sorted by path then time, ties in
+    draw order: the table of ``jumps.csv`` with the types one lower.
+    """
 
     times: np.ndarray
     M: np.ndarray  # (paths, n_times)
@@ -244,7 +249,7 @@ class Ensemble:
     phi: np.ndarray
     clipped: np.ndarray = field(default=None)
     flagged: np.ndarray = field(default=None)
-    jumps: list | None = None  # per path (time, type, size) arrays
+    jumps: np.ndarray | None = None  # (n_jumps, 4)
 
     @property
     def n_paths(self) -> int:
@@ -255,16 +260,22 @@ class Ensemble:
         return float(self.times[-1])
 
     def select(self, rows: slice) -> "Ensemble":
-        """The paths in ``rows`` as an Ensemble of views into this one."""
+        """The paths in ``rows``, a slice of step 1, with their jump rows renumbered from 0."""
 
         def take(a):
             return None if a is None else a[rows]
 
+        start, stop, step = rows.indices(self.n_paths)
+        if step != 1:
+            raise ValueError(f"select takes a slice of step 1, got step {step}")
+        jumps = self.jumps
+        if jumps is not None:
+            jumps = jumps[(jumps[:, 0] >= start) & (jumps[:, 0] < stop)] - [start, 0, 0, 0]
         return replace(
             self,
             M=self.M[rows],
             masses=self.masses[rows],
             clipped=take(self.clipped),
             flagged=take(self.flagged),
-            jumps=take(self.jumps),
+            jumps=jumps,
         )

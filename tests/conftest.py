@@ -50,9 +50,7 @@ def assert_same_ensemble(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.jumps is None) == (b.jumps is None)
     if a.jumps is not None:
-        assert len(a.jumps) == len(b.jumps)
-        for ja, jb in zip(a.jumps, b.jumps):
-            assert np.array_equal(ja, jb)
+        assert np.array_equal(a.jumps, b.jumps)
 
 
 @pytest.fixture

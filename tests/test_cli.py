@@ -158,6 +158,56 @@ class TestArgumentRefusals:
         self._refused(r, *needles)
         assert not (two_type / "criteria.json").exists()
 
+    @pytest.mark.parametrize("kind", ["gw", "csbp"])
+    @pytest.mark.parametrize(
+        "flag,needle",
+        [
+            ("--p=3", "criteria: p = 3.0 is outside (1, 2]"),
+            ("--p=0.5", "criteria: p = 0.5 is outside (1, 2]"),
+            ("--gamma=-1", "criteria: gamma = -1.0 is outside (0, inf)"),
+            ("--gamma=0", "criteria: gamma = 0.0 is outside (0, inf)"),
+        ],
+        ids=["p-3", "p-0.5", "gamma-neg", "gamma-0"],
+    )
+    def test_criteria_p_and_gamma_on_either_kind(self, workdir, kind, flag, needle):
+        (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
+        model = "gw.json" if kind == "gw" else "model.json"
+        r = run_cli("criteria", "--model", model, flag, cwd=workdir)
+        self._refused(r, needle)
+        assert not (workdir / "criteria.json").exists()
+
+    def test_gw_scenario_criteria_p(self, workdir):
+        scn = {
+            "model": GW_MODEL, "kind": "gw", "master_seed": 11, "gw": {"generations": 5},
+            "sim": {"paths": 20}, "analyses": {"criteria": {"p": [3.0]}}, "out": "outdir",
+        }
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        self._refused(r, "criteria: p = 3.0 is outside (1, 2]")
+        # refused before any artifact is written
+        assert not (workdir / "outdir").exists()
+
+    @pytest.mark.parametrize("flag", ["--F=7", "--F=0", "--t0=5", "--t1=5"])
+    def test_criteria_gw_refuses_csbp_options(self, workdir, flag):
+        (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
+        r = run_cli("criteria", "--model", "gw.json", "--p", "1.5", flag, cwd=workdir)
+        assert r.returncode == 1, r.stderr
+        option = flag.split("=")[0]
+        assert f"error: criteria on a Galton-Watson model does not read {option}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "criteria.json").exists()
+
+    def test_criteria_grid_defaults(self, workdir):
+        # without --t0 and --t1 a CSBP model is read at both grid starts 10
+        r = run_cli("criteria", "--model", "model.json", "--p", "1.2", "--out", "a.json", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(
+            "criteria", "--model", "model.json", "--p", "1.2", "--t0", "10", "--t1", "10",
+            "--out", "b.json", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        assert filecmp.cmp(workdir / "a.json", workdir / "b.json", shallow=False)
+
     def test_criteria_valid_seed_set_still_runs(self, two_type):
         r = run_cli("criteria", "--model", "m2.json", "--F", "0,0", cwd=two_type)
         assert r.returncode == 0, r.stderr
@@ -210,6 +260,26 @@ class TestArgumentRefusals:
         r = run_cli(*args, "--paths", "simout/paths.csv", "--out", "out.x", cwd=sim_paths)
         self._refused(r, *needles)
         assert not (sim_paths / "out.x").exists()
+
+    @pytest.mark.parametrize("kinds", [["X", "Y"], ["Atlide"], ["A", "Atlide"]])
+    def test_unknown_functional_kind(self, sim_paths, kinds):
+        r = run_cli(
+            "functionals", "--paths", "simout/paths.csv", "--kinds", *kinds, "--out", "out.x",
+            cwd=sim_paths,
+        )
+        assert r.returncode != 0
+        assert "invalid choice" in r.stderr and "Traceback" not in r.stderr, r.stderr
+        assert not (sim_paths / "out.x").exists()
+
+    @pytest.mark.parametrize("kinds", [["X", "Y"], ["A", "Atlide"], []])
+    def test_scenario_unknown_functional_kind(self, workdir, kinds):
+        scn = scenario()
+        scn["analyses"]["functionals"]["kinds"] = kinds
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 1, r.stderr
+        assert "/analyses/functionals/kinds" in r.stderr and "Traceback" not in r.stderr, r.stderr
+        assert not (workdir / "outdir").exists()
 
     @pytest.mark.parametrize(
         "part,key,value,needles",
@@ -628,6 +698,41 @@ class TestPathsRoundTrip:
         assert np.array_equal(back.M, ens.M)
         assert np.array_equal(back.masses, ens.masses)
         assert back.lam == eig.lam
+
+    @pytest.mark.parametrize("log", ["jumps", "empty-log", "three-blocks"])
+    def test_jump_log_read_back_matches(self, workdir, log):
+        import dataclasses
+
+        import numpy as np
+        from conftest import STABLE_ATOMS
+
+        import supermart as sm
+        from supermart.io import read_paths_csv, write_jumps_csv, write_paths_csv
+
+        model = sm.model_from_json(STABLE_ATOMS)
+        eig = sm.principal_eigentriple(model)
+        cfg = sm.SimConfig(dt=0.01, horizon=1.0, paths=30, master_seed=4, epsilon=1.0)
+        ens = sm.simulate_csbp(model, eig, cfg)
+        jumpers = set(ens.jumps[:, 0].tolist())
+        # some paths jump and some do not; both types jump
+        assert 0 < len(jumpers) < ens.n_paths
+        assert set(ens.jumps[:, 2].tolist()) == {0.0, 1.0}
+        if log == "empty-log":
+            ens = dataclasses.replace(ens, jumps=np.empty((0, 4)))
+        elif log == "three-blocks":
+            # more rows than the writer formats at a time (4096), on paths 3 to 29
+            rng = np.random.default_rng(4)
+            n = 9000
+            pid = np.sort(rng.integers(3, 30, n)).astype(float)
+            rows = [pid, rng.random(n), rng.integers(0, 2, n).astype(float), rng.pareto(1.5, n)]
+            ens = dataclasses.replace(ens, jumps=np.column_stack(rows))
+        write_paths_csv(str(workdir / "paths.csv"), ens, {"seed": 4})
+        write_jumps_csv(str(workdir / "jumps.csv"), ens, {"seed": 4})
+        if log == "empty-log":
+            assert _body(workdir / "jumps.csv") == ["path_id,t,type,size"]
+        back, _ = read_paths_csv(str(workdir / "paths.csv"))
+        assert back.jumps.shape == ens.jumps.shape
+        assert np.array_equal(back.jumps, ens.jumps)
 
 
 def _body(path):

@@ -17,7 +17,10 @@ from supermart.sim import Ensemble
 
 
 def synthetic_path(times, m_values, lam=1.0, jumps=None, masses=None, phi=None):
-    """A one-path `Ensemble` with martingale ``m_values`` on ``times``."""
+    """A one-path `Ensemble` with martingale ``m_values`` on ``times``.
+
+    ``jumps`` are rows ``path_id, t, type, size`` of the jump log, path id 0.
+    """
     times = np.asarray(times, dtype=float)
     m = np.asarray(m_values, dtype=float)
     phi = np.array([1.0]) if phi is None else np.asarray(phi, dtype=float)
@@ -29,7 +32,7 @@ def synthetic_path(times, m_values, lam=1.0, jumps=None, masses=None, phi=None):
         masses=np.asarray(masses, dtype=float)[None],
         lam=lam,
         phi=phi,
-        jumps=[np.asarray(jumps if jumps is not None else [], dtype=float).reshape(-1, 3)],
+        jumps=np.asarray(jumps if jumps is not None else [], dtype=float).reshape(-1, 4),
     )
 
 
@@ -74,7 +77,7 @@ class TestATildeFunctional:
         t = np.linspace(0, 4, 5)  # coarse grid: the jump sits inside a step
         m = np.array([1.0, 1.0, 1.0, 0.8, 0.8])
         size = 0.2 / math.exp(-1.0 * 2.0)  # e^{-lam tau} * r = 0.2
-        pr = synthetic_path(t, m, jumps=[[2.0, 0, -size]])
+        pr = synthetic_path(t, m, jumps=[[0, 2.0, 0, -size]])
         curve = a_tilde_functional(pr, 2.0)
         assert curve.final() == pytest.approx(-0.2 * math.e, rel=1e-12)
         assert curve.final() == pytest.approx(-0.5436563656918091, rel=1e-12)
@@ -221,9 +224,9 @@ class TestRowsArePaths:
             dt=0.02, horizon=4.0, paths=40, master_seed=71, epsilon=0.3, record_stride=3
         )
         ens = sm.simulate_csbp(model, eig, cfg)
-        logged = np.concatenate(ens.jumps)
-        assert set(logged[:, 1].tolist()) == {0.0, 1.0}
-        assert sum(len(j) > 1 for j in ens.jumps) > 5
+        assert set(ens.jumps[:, 2].tolist()) == {0.0, 1.0}
+        per_path = np.bincount(ens.jumps[:, 0].astype(int), minlength=ens.n_paths)
+        assert (per_path > 1).sum() > 5
 
         def rows(e):
             minf = e.M[:, -1]

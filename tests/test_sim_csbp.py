@@ -149,15 +149,34 @@ class TestJumps:
             dt=0.01, horizon=2.0, paths=200, master_seed=31, epsilon=0.7, record_stride=5
         )
         ens = sm.simulate_csbp(stable1, eig, cfg)
-        total = 0
-        for arr in ens.jumps:
-            arr = np.asarray(arr).reshape(-1, 3)
-            total += len(arr)
-            if len(arr):
-                assert (arr[:, 2] > 0.7).all()
-                assert (arr[:, 0] >= 0).all() and (arr[:, 0] <= 2.0).all()
-                assert np.all(np.diff(arr[:, 0]) >= 0)
-        assert total > 50  # the model genuinely jumps at this scale
+        pid, t, ty, size = ens.jumps.T
+        assert (size > 0.7).all()
+        assert (t >= 0).all() and (t <= 2.0).all()
+        assert (ty == 0).all()
+        # sorted by path, then by time within each path
+        assert np.all(np.diff(pid) >= 0)
+        assert np.all(np.diff(t)[np.diff(pid) == 0] >= 0)
+        assert len(ens.jumps) > 50  # the model genuinely jumps at this scale
+
+    def test_select_keeps_the_rows_of_its_paths(self):
+        model = sm.model_from_json(STABLE_ATOMS)
+        eig = sm.principal_eigentriple(model)
+        cfg = sm.SimConfig(dt=0.02, horizon=2.0, paths=40, master_seed=61, epsilon=0.3)
+        ens = sm.simulate_csbp(model, eig, cfg)
+        part = ens.select(slice(10, 25))
+        pid = ens.jumps[:, 0]
+        expected = ens.jumps[(pid >= 10) & (pid < 25)]
+        expected[:, 0] -= 10
+        assert 0 < len(expected) < len(ens.jumps)
+        assert np.array_equal(part.jumps, expected)
+        assert np.array_equal(part.M, ens.M[10:25])
+        assert np.array_equal(part.masses, ens.masses[10:25])
+        # the slice past the last path keeps the rows up to it
+        tail = ens.select(slice(30, 100))
+        assert np.array_equal(tail.jumps[:, 1:], ens.jumps[pid >= 30, 1:])
+        assert tail.n_paths == 10 and tail.jumps[:, 0].max() < 10
+        with pytest.raises(ValueError, match="step 1"):
+            ens.select(slice(0, 40, 2))
 
     def test_auto_epsilon_rule(self, stable1):
         eig = sm.principal_eigentriple(stable1)
@@ -234,7 +253,7 @@ class TestDeterminism:
         eig = sm.principal_eigentriple(model)
         cfg = sm.SimConfig(dt=0.02, horizon=2.0, paths=400, master_seed=61, epsilon=0.3)
         a = sm.simulate_csbp(model, eig, cfg)
-        assert sum(len(j) for j in a.jumps) > 0
+        assert len(a.jumps) > 0
         # four types, 400 = 133 * 3 + 1 paths: at chunk size 3 the last chunk
         # holds one path, whose step products must sum as in a larger chunk
         model4 = sm.model_from_json(ATOMS4)
@@ -245,7 +264,7 @@ class TestDeterminism:
         # a path's draws are its own: a shorter run is a prefix
         head = sm.simulate_csbp(model, eig, dataclasses.replace(cfg, paths=37))
         assert np.array_equal(head.masses, a.masses[:37])
-        assert all(np.array_equal(x, y) for x, y in zip(head.jumps, a.jumps))
+        assert np.array_equal(head.jumps, a.jumps[a.jumps[:, 0] < 37])
         set_chunk_paths(3)
         assert_same_ensemble(a4, sm.simulate_csbp(model4, eig4, cfg))
 

@@ -120,7 +120,7 @@ class TestEngineMatchesSeedSequenceStreams:
         ref = sm.simulate_csbp(model, eig, cfg)
         assert "gamma" in calls["reject"]  # near-absorption draw
         assert "random" in calls["sizes"]  # logged jump times
-        assert sum(len(j) for j in ref.jumps) > 0
+        assert len(ref.jumps) > 0
         assert_same_ensemble(new, ref)
 
     def test_spine(self, reference_streams, tilted2):
