@@ -31,12 +31,10 @@ from .criteria import (
     Predictions,
     evaluate_criteria,
     gw_predictions,
-    inf_log_condition,
     llogl,
     log_moment,
     lower_bound_b,
     p_moment,
-    theorem_predictions,
     uniform_tail_B,
     conjugate,
 )

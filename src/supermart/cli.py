@@ -1,13 +1,14 @@
 """Scenario-driven command line: eigen, criteria, simulate, functionals, rates,
 run, verify.
 
-Exit codes: 0 success, 1 config schema violation (message carries a JSON
-pointer to the fault), a simulation setting (``sim``, ``x0``) the engine
-refuses or a setting or option the kind never reads, 2 model validation or
-spectral failure, or an analysis argument out of range (a seed-set index
-outside the model's types, a criteria grid start or eigen target outside its
-interval, a rate or functional ``p``, ``gamma`` or ``a_star`` outside its
-range), 3 numerical failure (more than 10% of paths flagged).
+Exit codes: 0 success, 1 a command line argparse refuses, config schema
+violation (message carries a JSON pointer to the fault), a simulation setting
+(``sim``, ``x0``) the engine refuses or a setting or option the kind never
+reads, 2 model validation or spectral failure, an unusable paths or criteria
+file, or an analysis argument out of range (a seed-set index outside the
+model's types, a criteria grid start or eigen target outside its interval, a
+rate or functional ``p``, ``gamma`` or ``a_star`` outside its range), 3
+numerical failure (more than 10% of paths flagged).
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def _criteria(model, gw, eig, cfg: dict):
     _require_ranges("criteria", p=p_values, gamma=gamma_values)
     if gw is not None:
         preds = gw_predictions(gw, p_values=p_values, gamma_values=gamma_values)
-        return preds.as_dict(), preds
+        return {"predictions": preds.as_dict()}, preds
     try:
         report = evaluate_criteria(
             model,
@@ -370,7 +371,7 @@ def _summary(preds, fits, checks) -> dict:
             clauses[f"lp_rate_p{p:g}"] = {
                 "predicted": -item["lp_rate_exponent"],
                 "observed": fit["exponent"],
-                "verdict": fit["bound_verdict"] or fit["verdict"],
+                "verdict": fit["bound_verdict"],
             }
         chk = checks.get(f"as_rate_p{p:g}")
         if chk is not None:
@@ -457,13 +458,23 @@ def cmd_functionals(args):
     print(out)
 
 
+def _read_predictions(path: str) -> Predictions:
+    """The ``predictions`` block of a criteria file; exit 2 when it has none to read."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_MODEL, f"criteria file {path}: {exc}")
+    try:
+        return Predictions.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        _fail(EXIT_MODEL, f"criteria file {path} has no usable predictions block: {exc!r}")
+
+
 def cmd_rates(args):
     _require_ranges("rates", p=args.p, gamma=args.gamma)
     ens, meta = read_paths_csv(args.paths)
-    preds = None
-    if args.criteria:
-        with open(args.criteria) as fh:
-            preds = Predictions.from_dict(json.load(fh))
+    preds = _read_predictions(args.criteria) if args.criteria else None
     fits, checks, curves = _rates_payload(ens, None, preds, {"p": args.p, "gamma": args.gamma})
     out = args.out or "rates.json"
     write_json(out, {"fits": fits, "checks": checks, "criteria_file": args.criteria}, dict(meta))
@@ -566,8 +577,16 @@ def cmd_verify(args):
         raise SystemExit(1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits `EXIT_SCHEMA` on a refused command line; its subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="supermart", description=__doc__)
+    ap = _Parser(prog="supermart", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eigen", help="principal eigentriple and c_t curve")

@@ -11,17 +11,18 @@ The criteria evaluated here, with the downstream prediction each one drives:
 * ``llogl``            -- L log L integral; finite iff the martingale limit
                           is nondegenerate.
 * ``p_moment(p)``      -- p-th moment tail, p in (1, 2]; finite implies the
-                          almost-sure rate exp(-lambda t / q), 1/p + 1/q = 1.
+                          L^p and almost-sure rates exp(-lambda t / q),
+                          1/p + 1/q = 1.
 * ``log_moment(g)``    -- r (log r)^(g+1) integral; finite implies the
-                          polynomial rate t^(-g).
+                          polynomial rate t^(-g), the series criterion and
+                          the borderline o((log t)^-g) condition, whose
+                          product (log r - log t)(log t)^g <= (log r)^(g+1)
+                          is bounded by the moment's vanishing tail.
 * ``uniform_tail_B``   -- uniform upper bound on per-type tails; under it an
                           infinite p-moment makes the exponential rate fail.
 * ``lower_bound_b``    -- uniform lower bound on first-moment tails over a
                           seed set F; under it an infinite log-moment makes
                           the series criterion fail.
-* ``inf_log_condition``-- the borderline o((log t)^-g) condition; it holds
-                          iff the log moment is finite, whose vanishing tail
-                          bounds it as (log r - log t)(log t)^g <= (log r)^(g+1).
 
 ``B`` and ``b`` are read off one ``(grid, types)`` table of tails, built from
 the kernels' own scalar closed forms.  Row maxima, minima and ratios are
@@ -49,8 +50,6 @@ __all__ = [
     "log_moment",
     "uniform_tail_B",
     "lower_bound_b",
-    "inf_log_condition",
-    "theorem_predictions",
     "evaluate_criteria",
     "gw_predictions",
     "conjugate",
@@ -157,17 +156,6 @@ def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> fl
     return 0.0 if math.isinf(best) else best
 
 
-def inf_log_condition(model: Model, eig: Eigentriple, gamma: float) -> dict:
-    """Verdict on ``(log t)^gamma int_t^inf r (log r - log t) pi^phi(dr) -> 0``.
-
-    For ``r > t > 1``, ``(log r - log t) (log t)^gamma <= (log r)^(1+gamma)``,
-    so the product is at most ``int_t^inf r (log r)^(1+gamma) pi^phi(dr)``,
-    the tail of `log_moment`, which vanishes when that moment is finite:
-    "holds" when it is, "fails" when it is not.
-    """
-    return {"verdict": "holds" if math.isfinite(log_moment(model, eig, gamma)) else "fails"}
-
-
 # ---------------------------------------------------------------------------
 # reports and predictions
 
@@ -189,8 +177,8 @@ class Predictions:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Predictions":
-        """Read back ``as_dict`` output, alone or inside a criteria report's."""
-        doc = doc.get("predictions", doc)
+        """Read back the ``predictions`` block of a ``criteria.json`` document."""
+        doc = doc["predictions"]
         return cls(
             nondegenerate=doc["nondegenerate"],
             per_p=[{**row, "p": float(row["p"])} for row in doc.get("per_p", [])],
@@ -207,28 +195,26 @@ class CriteriaReport:
     log_moments: dict
     B: float
     b: float
-    inf_log: dict
     lam: float
-    predictions: Predictions | None = None
+    predictions: Predictions
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "llogl": self.llogl,
             "p_moments": {str(k): v for k, v in self.p_moments.items()},
             "log_moments": {str(k): v for k, v in self.log_moments.items()},
             "B": self.B,
             "b": self.b,
-            "inf_log": {str(k): v for k, v in self.inf_log.items()},
             "lambda": self.lam,
+            "predictions": self.predictions.as_dict(),
         }
-        if self.predictions is not None:
-            out["predictions"] = self.predictions.as_dict()
-        return out
 
 
 def _p_row(p: float, lam: float, mom: float, bound_holds: bool) -> dict:
-    """Verdicts for one ``p``: the rate ``exp(-lam t / q)`` holds iff the p-moment
-    is finite, and its failure is expected when it is not and ``bound_holds``."""
+    """Verdicts for one ``p``: the L^p-norm decay exponent is ``lam / q`` (the
+    boundary of the o(exp(-lam t / a*)) family over a < p), the almost-sure rate
+    ``exp(-lam t / q)`` holds iff the p-moment is finite, and its failure is
+    expected when it is not and ``bound_holds``."""
     q = conjugate(p)
     finite = math.isfinite(mom)
     return {
@@ -236,46 +222,9 @@ def _p_row(p: float, lam: float, mom: float, bound_holds: bool) -> dict:
         "q": q,
         "p_moment": mom,
         "lp_rate_exponent": lam / q,
-        "as_rate_exponent": lam / q,
         "as_rate_holds": finite,
         "as_rate_fails_expected": (not finite) and bound_holds,
-        "A_functional_converges": finite,
     }
-
-
-def theorem_predictions(report: CriteriaReport, p_values=(), gamma_values=()) -> Predictions:
-    """Turn criteria values into the rate verdicts the ensemble checks test.
-
-    For each ``p``: the L^p-norm decay exponent is ``lambda/q`` (the boundary
-    of the o(exp(-lambda t / a*)) family over a < p), the almost-sure rate
-    ``exp(-lambda t / q)`` holds iff the p-moment is finite, and its failure
-    is expected when additionally the uniform tail bound holds (finite B).
-    For each ``gamma``: the polynomial rate ``t^-gamma`` and the series
-    criterion hold when the log-moment is finite; with a positive lower
-    bound ``b`` an infinite log-moment breaks the series, and a failing
-    borderline condition breaks the o(t^-gamma) rate itself.
-    """
-    lam = report.lam
-    per_p = [_p_row(p, lam, report.p_moments[p], math.isfinite(report.B)) for p in p_values]
-    per_gamma = []
-    for g in gamma_values:
-        mom = report.log_moments[g]
-        finite = math.isfinite(mom)
-        per_gamma.append(
-            {
-                "gamma": g,
-                "log_moment": mom,
-                "poly_rate_holds": finite,
-                "series_converges": finite,
-                "series_fails_expected": (not finite) and report.b > 0.0,
-                "o_rate_fails_expected": (not finite)
-                and report.b > 0.0
-                and report.inf_log.get(g, {}).get("verdict") == "fails",
-            }
-        )
-    return Predictions(
-        nondegenerate=math.isfinite(report.llogl), per_p=per_p, per_gamma=per_gamma
-    )
 
 
 def evaluate_criteria(
@@ -287,24 +236,38 @@ def evaluate_criteria(
     t0: float = 10.0,
     t1: float = 10.0,
 ) -> CriteriaReport:
-    """Evaluate every requested criterion and attach theorem predictions."""
+    """Evaluate every requested criterion and the rate verdicts it predicts.
+
+    Each ``p`` gets a `_p_row`, whose failure branch needs a finite uniform
+    tail bound ``B``.  For each ``gamma`` the polynomial rate ``t^-gamma``, the
+    series criterion and the borderline condition hold when the log moment is
+    finite; with a positive lower bound ``b`` an infinite one breaks the series.
+    """
     f_set = list(range(model.d)) if f_set is None else f_set
-    inf_log = {g: inf_log_condition(model, eig, g) for g in gamma_values}
-    report = CriteriaReport(
-        llogl=llogl(model, eig),
-        p_moments={p: p_moment(model, eig, p) for p in p_values},
-        log_moments={g: log_moment(model, eig, g) for g in gamma_values},
-        B=uniform_tail_B(model, eig, t0),
-        b=lower_bound_b(model, eig, f_set, t1),
-        inf_log=inf_log,
-        lam=eig.lam,
+    log_moments = {g: log_moment(model, eig, g) for g in gamma_values}
+    ll = llogl(model, eig)
+    p_moments = {p: p_moment(model, eig, p) for p in p_values}
+    B = uniform_tail_B(model, eig, t0)
+    b = lower_bound_b(model, eig, f_set, t1)
+    per_gamma = [
+        {
+            "gamma": g,
+            "log_moment": mom,
+            "poly_rate_holds": math.isfinite(mom),
+            "series_fails_expected": not math.isfinite(mom) and b > 0.0,
+        }
+        for g, mom in log_moments.items()
+    ]
+    predictions = Predictions(
+        nondegenerate=math.isfinite(ll),
+        per_p=[_p_row(p, eig.lam, mom, math.isfinite(B)) for p, mom in p_moments.items()],
+        per_gamma=per_gamma,
     )
-    report.predictions = theorem_predictions(report, p_values, gamma_values)
-    return report
+    return CriteriaReport(ll, p_moments, log_moments, B, b, eig.lam, predictions)
 
 
 def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
-    """Discrete-time analogue of `theorem_predictions` for Galton-Watson.
+    """Discrete-time analogue of `evaluate_criteria`'s predictions for Galton-Watson.
 
     The role of ``lambda`` is played by ``log m``; the p-moment condition is
     ``E[Z^p] < infty`` and the log-moment condition ``E[Z (log Z)^(1+g)]``.
@@ -314,14 +277,6 @@ def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
     per_gamma = []
     for g in gamma_values:
         mom = gw.log_moment(g)
-        finite = math.isfinite(mom)
-        per_gamma.append(
-            {
-                "gamma": g,
-                "log_moment": mom,
-                "poly_rate_holds": finite,
-                "series_converges": finite,
-            }
-        )
+        per_gamma.append({"gamma": g, "log_moment": mom, "poly_rate_holds": math.isfinite(mom)})
     nondegenerate = math.isfinite(gw.log_moment(0.0))
     return Predictions(nondegenerate=nondegenerate, per_p=per_p, per_gamma=per_gamma)

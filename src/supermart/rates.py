@@ -261,9 +261,10 @@ def poly_rate_check(
 def window_law_check(ensemble, f_idx, eig, n_values=None) -> dict:
     """Window-average law: ``window_avg(n, F) / Minf -> <phi 1_F, nu>``.
 
-    Extinct paths (zero limit proxy) are skipped; reports the median absolute
-    deviation from the target per window index and the survival fraction.
-    Raises ``ValueError`` for an empty ``f_idx`` or an index outside ``[0, d)``.
+    Overflow-flagged paths are dropped and extinct paths (zero limit proxy)
+    skipped; reports the median absolute deviation from the target per window
+    index and the survival fraction of the unflagged paths.  Raises
+    ``ValueError`` for an empty ``f_idx`` or an index outside ``[0, d)``.
     """
     from .functionals import window_average
 
@@ -272,7 +273,9 @@ def window_law_check(ensemble, f_idx, eig, n_values=None) -> dict:
     if n_values is None:
         n_values = list(range(1, int(math.floor(0.5 * ensemble.horizon)) + 1))
     minf = np.asarray(ensemble.M)[:, -1]
-    alive = minf > 0
+    live = np.ones(len(minf), bool) if ensemble.flagged is None else ~ensemble.flagged
+    alive = live & (minf > 0)
+    n_live = np.count_nonzero(live)
     mads = {}
     for n in n_values:
         devs = np.abs(window_average(ensemble, n, f_idx)[alive] / minf[alive] - target)
@@ -280,6 +283,6 @@ def window_law_check(ensemble, f_idx, eig, n_values=None) -> dict:
     return {
         "target": target,
         "mad": mads,
-        "survival_fraction": float(np.count_nonzero(alive)) / ensemble.n_paths,
+        "survival_fraction": np.count_nonzero(alive) / n_live if n_live else math.nan,
         "n_values": list(n_values),
     }

@@ -261,13 +261,36 @@ class TestArgumentRefusals:
         self._refused(r, *needles)
         assert not (sim_paths / "out.x").exists()
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("absent.json", None),
+            ("broken.json", '{"predictions": '),
+            ("empty.json", "{}"),
+            ("flat.json", json.dumps({"nondegenerate": True, "per_p": [], "per_gamma": []})),
+        ],
+        ids=["missing", "not-json", "empty", "flat-gw"],
+    )
+    def test_unusable_criteria_file(self, sim_paths, name, text):
+        # a missing file, a file that is not JSON, and one with no predictions
+        # block (the old flat Galton-Watson layout included)
+        if text is not None:
+            (sim_paths / name).write_text(text)
+        r = run_cli(
+            "rates", "--paths", "simout/paths.csv", "--criteria", name, "--p", "1.2",
+            "--out", "out.x", "--plot", "plot.x", cwd=sim_paths,
+        )
+        self._refused(r, f"criteria file {name}")
+        assert not (sim_paths / "out.x").exists() and not (sim_paths / "plot.x").exists()
+
     @pytest.mark.parametrize("kinds", [["X", "Y"], ["Atlide"], ["A", "Atlide"]])
     def test_unknown_functional_kind(self, sim_paths, kinds):
+        # the exit code of the scenario key analyses.functionals.kinds
         r = run_cli(
             "functionals", "--paths", "simout/paths.csv", "--kinds", *kinds, "--out", "out.x",
             cwd=sim_paths,
         )
-        assert r.returncode != 0
+        assert r.returncode == 1
         assert "invalid choice" in r.stderr and "Traceback" not in r.stderr, r.stderr
         assert not (sim_paths / "out.x").exists()
 
@@ -493,6 +516,32 @@ class TestRun:
         for f in ("model.json", "eigen.json", "criteria.json", "paths.csv", "rates.json"):
             assert (workdir / "outdir" / f).exists()
 
+    def test_criteria_json_keys(self, workdir):
+        # one layout for both model kinds: the verdicts under "predictions"
+        p_row = {"p", "q", "p_moment", "lp_rate_exponent", "as_rate_holds", "as_rate_fails_expected"}
+        gw_scn = {
+            "model": GW_MODEL, "kind": "gw", "master_seed": 1, "gw": {"generations": 3},
+            "sim": {"paths": 5}, "analyses": {"criteria": {"p": [1.2], "gamma": [1.0]}},
+        }
+        csbp_scn = scenario(sim={"dt": 0.01, "horizon": 1.0, "paths": 5})
+        for scn, top, gamma_row in (
+            (
+                csbp_scn,
+                {"meta", "llogl", "p_moments", "log_moments", "B", "b", "lambda", "predictions"},
+                {"gamma", "log_moment", "poly_rate_holds", "series_fails_expected"},
+            ),
+            (gw_scn, {"meta", "predictions"}, {"gamma", "log_moment", "poly_rate_holds"}),
+        ):
+            (workdir / "scn.json").write_text(json.dumps(scn))
+            r = run_cli("run", "--config", "scn.json", "--out", scn["kind"], cwd=workdir)
+            assert r.returncode == 0, r.stderr
+            doc = json.loads((workdir / scn["kind"] / "criteria.json").read_text())
+            assert set(doc) == top
+            preds = doc["predictions"]
+            assert set(preds) == {"nondegenerate", "per_p", "per_gamma"}
+            assert [set(row) for row in preds["per_p"]] == [p_row]
+            assert [set(row) for row in preds["per_gamma"]] == [gamma_row]
+
     def test_schema_violation_exit_1_with_pointer(self, workdir):
         scn = scenario()
         del scn["kind"]
@@ -658,7 +707,7 @@ class TestRun:
 
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_gw_without_sim_defaults_to_1000_paths(self, workdir):

@@ -455,17 +455,19 @@ class TestArgumentRefusals:
 
 
 class TestInfLogCondition:
+    # the borderline o((log t)^-g) condition has no verdict of its own: a
+    # finite log moment bounds its product by the moment's vanishing tail, so
+    # it holds with poly_rate_holds
     def test_bounded_atoms_hold_trivially(self):
         m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
-        out = sm.inf_log_condition(m, eig1(), 1.0)
-        assert out == {"verdict": "holds"}
+        item = evaluate_criteria(m, eig1(), gamma_values=(1.0,)).predictions.per_gamma[0]
+        assert item["poly_rate_holds"] and not item["series_fails_expected"]
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
     def test_finite_log_moment_implies_holds(self, g):
-        # a finite log moment bounds the borderline product by its own tail,
-        # also where that product decays slowly (stable alpha near 1) or is
-        # still growing on any grid that ends at e^10 (the 40 atoms at e^n
-        # with weights e^{-n} n^{-2})
+        # also where the borderline product decays slowly (stable alpha near
+        # 1) or is still growing on any grid that ends at e^10 (the 40 atoms
+        # at e^n with weights e^{-n} n^{-2})
         atoms = [[math.exp(n), math.exp(-n) * n ** -2.0] for n in range(1, 41)]
         models = [
             single_type(STABLE),
@@ -475,8 +477,10 @@ class TestInfLogCondition:
             single_type({"kind": "atoms", "atoms": atoms}),
         ]
         for m in models:
-            assert math.isfinite(sm.log_moment(m, eig1(), g))
-            assert sm.inf_log_condition(m, eig1(), g) == {"verdict": "holds"}
+            rep = evaluate_criteria(m, eig1(), gamma_values=(g,))
+            assert math.isfinite(rep.log_moments[g])
+            item = rep.predictions.per_gamma[0]
+            assert item["poly_rate_holds"] and not item["series_fails_expected"]
 
 
 class TestTheoremPredictions:
@@ -489,7 +493,7 @@ class TestTheoremPredictions:
         item = rep.predictions.per_p[0]
         assert item["as_rate_holds"]
         assert item["q"] == pytest.approx(6.0)
-        assert item["as_rate_exponent"] == pytest.approx(1.0 / 6.0)
+        assert item["lp_rate_exponent"] == pytest.approx(1.0 / 6.0)
 
     def test_failure_branch_from_infinite_p_moment(self):
         m = single_type({"kind": "stable", "gamma": 1.0, "alpha": 1.4})
@@ -503,7 +507,7 @@ class TestTheoremPredictions:
         rep = self._report(m, gamma_values=(2.0,))
         item = rep.predictions.per_gamma[0]
         assert item["poly_rate_holds"]
-        assert item["series_converges"]
+        assert not item["series_fails_expected"]
 
     def test_nondegeneracy_flag(self):
         m = single_type(STABLE)

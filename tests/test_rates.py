@@ -193,6 +193,23 @@ class TestWindowLawCheck:
         for mad in out["mad"].values():
             assert mad == pytest.approx(0.0, abs=1e-12)
 
+    def test_flagged_paths_dropped(self, symmetric2):
+        # window averages 0.5 f per path against the target 0.5
+        eig = sm.principal_eigentriple(symmetric2)
+        t = np.linspace(0, 8, 161)
+
+        def ensemble(factors):
+            m = np.ones((len(factors), len(t)))
+            masses = np.exp(t)[None, :, None] * eig.nu[None, None, :] * np.array(factors)[:, None, None]
+            return synthetic_ensemble(t, m, lam=1.0, phi=eig.phi, masses=masses)
+
+        base = window_law_check(ensemble([1.0, 1.1, 1.3, 1.6]), [0], eig)
+        wild = ensemble([1.0, 1.1, 1.3, 1.6, 1e6])
+        wild.flagged[-1] = True
+        out = window_law_check(wild, [0], eig)
+        assert out["mad"] == base["mad"]
+        assert out["survival_fraction"] == base["survival_fraction"] == 1.0
+
     def test_extinct_paths_skipped(self, symmetric2):
         eig = sm.principal_eigentriple(symmetric2)
         t = np.linspace(0, 8, 161)
