@@ -121,7 +121,11 @@ def write_jumps_csv(path: str, ensemble, meta: dict) -> None:
 def _read_csv(path: str):
     """Metadata dict, column names and numeric rows of an artifact CSV."""
     meta = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise SupermartError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
         line = fh.readline()
         while line.startswith("#"):
             key, _, val = line[1:].partition(":")

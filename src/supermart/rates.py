@@ -35,6 +35,7 @@ __all__ = [
 _R2_FLOOR = 0.8
 _HOLD_FRACTION = 0.95
 _FAIL_FRACTION = 0.05
+_BOOT_CELLS = 2**16  # most resample counts one bootstrap block holds
 
 
 @dataclass
@@ -101,9 +102,17 @@ def lp_curve(ensemble, p: float, grid=None, n_boot: int = 200, boot_seed: int = 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([boot_seed, 7])))
     n = dev.shape[0]
     boots = np.empty((n_boot, dev.shape[1]))
-    for b in range(n_boot):
-        rows = rng.integers(0, n, n)
-        boots[b] = np.mean(dev[rows], axis=0) ** (1.0 / p)
+    # a resample's mean is its row counts times dev / n: one product per block
+    # of resamples, a block's counts capped at _BOOT_CELLS so that peak memory
+    # does not grow with n_boot.  einsum, not @: a BLAS product large enough to
+    # run threaded leaves its worker threads spinning on the other cores
+    block = max(1, min(n_boot, _BOOT_CELLS // max(n, 1)))
+    counts = np.empty((block, n))
+    for b0 in range(0, n_boot, block):
+        k = min(block, n_boot - b0)
+        for i in range(k):
+            counts[i] = np.bincount(rng.integers(0, n, n), minlength=n)
+        boots[b0 : b0 + k] = (np.einsum("kn,nt->kt", counts[:k], dev) / n) ** (1.0 / p)
     stderr = boots.std(axis=0, ddof=1)
     return {"t": t_sel, "value": value, "stderr": stderr, "p": p, "n_paths": n}
 

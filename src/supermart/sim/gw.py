@@ -1,11 +1,11 @@
 """Galton-Watson path generation with exact offspring sums.
 
 For bounded offspring laws one generation is a single multinomial draw.  For
-zeta-tailed laws the population sum is sampled exactly even when it is far
-too large to draw individual offspring: small populations use direct zipf
-draws, large ones use a value-binned multinomial (exact head bins 1..K plus
-dyadic tail blocks with Hurwitz-zeta probabilities, block values filled in by
-rejection against a uniform proposal).
+zeta-tailed laws one value-binned sampler serves every population, one parent
+or many: a multinomial over exact head bins 1..K and dyadic tail blocks with
+Hurwitz-zeta probabilities, each non-empty block's values filled in by
+rejection against a uniform proposal.  A generation costs O(bins), not
+O(population).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .records import CHUNK_PATHS, Ensemble, path_streams
 __all__ = ["simulate_gw"]
 
 _INT_CAP = 2**63 - 1
-_DIRECT_LIMIT = 8192  # below this, draw offspring individually
 _BLOCK_CAP = 2**62
 _BATCH = 2**19  # most accepted draws one rejection round asks for (it proposes twice that)
 
@@ -69,14 +68,13 @@ def _block_sum(lo: int, hi: int, n: int, s: float, rng: np.random.Generator) -> 
 def _powerlaw_generation(n_parents: int, alpha: float, rng: np.random.Generator) -> int:
     """Exact total offspring of ``n_parents`` zeta(1+alpha) individuals.
 
-    Returns the overflow cap directly for populations so large that the
-    int64 accumulation could wrap.
+    One multinomial over the head values and the dyadic tail blocks, then an
+    exact rejection sum inside each non-empty block: the cost grows with the
+    number of bins, not with ``n_parents``.  Returns the overflow cap directly
+    for populations so large that the int64 accumulation could wrap.
     """
     if n_parents > _INT_CAP // 4096:
         return _INT_CAP
-    if n_parents <= _DIRECT_LIMIT:
-        total = int(rng.zipf(1.0 + alpha, size=n_parents).sum())
-        return total if total >= 0 else _INT_CAP
     # pick the head size balancing multinomial cost against tail draws
     head = int(min(4096, max(64, round(n_parents ** (1.0 / (1.0 + alpha))))))
     head = 1 << int(math.ceil(math.log2(head)))
@@ -84,17 +82,11 @@ def _powerlaw_generation(n_parents: int, alpha: float, rng: np.random.Generator)
     counts = rng.multinomial(n_parents, pvals)
     total = int(np.dot(ks, counts[: len(ks)]))
     s = 1.0 + alpha
-    for (lo, hi, _), c in zip(blocks, counts[len(ks) :]):
-        if c > 0:
-            total += _block_sum(lo, hi, int(c), s, rng)
+    tail = counts[len(ks) :]
+    for b in np.flatnonzero(tail):
+        lo, hi, _ = blocks[b]
+        total += _block_sum(lo, hi, int(tail[b]), s, rng)
     return total if 0 <= total <= _INT_CAP else _INT_CAP
-
-
-def _bounded_generation(n_parents: int, pmf: np.ndarray, rng: np.random.Generator) -> int:
-    if n_parents > _INT_CAP // max(len(pmf) - 1, 1):
-        return _INT_CAP
-    counts = rng.multinomial(n_parents, pmf)
-    return int(np.dot(np.arange(len(pmf)), counts))
 
 
 def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> Ensemble:
@@ -110,6 +102,8 @@ def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> Ensembl
     pmf = np.asarray(gw.pmf, dtype=float) if gw.pmf is not None else None
     if pmf is not None:
         pmf = pmf / pmf.sum()
+        values = np.arange(len(pmf))
+        cap = _INT_CAP // max(len(pmf) - 1, 1)  # largest population that cannot overflow
     w = np.empty((paths, generations + 1))
     flagged = np.zeros(paths, dtype=bool)
     norms = m ** -np.arange(generations + 1, dtype=float)
@@ -122,10 +116,12 @@ def simulate_gw(gw: GWModel, generations: int, paths: int, seed: int) -> Ensembl
             w[pid, 0] = 1.0
             for gen in range(1, generations + 1):
                 if z > 0:
-                    if pmf is not None:
-                        z_next = _bounded_generation(z, pmf, rng)
-                    else:
+                    if pmf is None:
                         z_next = _powerlaw_generation(z, gw.alpha, rng)
+                    elif z > cap:
+                        z_next = _INT_CAP
+                    else:
+                        z_next = int(np.dot(values, rng.multinomial(z, pmf)))
                     if z_next >= _INT_CAP:
                         z_next = _INT_CAP
                         flagged[pid] = True

@@ -905,3 +905,12 @@ class TestPathsFileRoundTrip:
         r = run_cli("rates", "--paths", "simout/paths.csv", "--p", "1.2", cwd=workdir)
         assert r.returncode == 2
         assert "lambda" in r.stderr
+
+    @pytest.mark.parametrize("command", [["rates", "--p", "1.2"], ["functionals"]])
+    def test_missing_paths_file_exit_2(self, workdir, command):
+        r = run_cli(
+            command[0], "--paths", "nowhere.csv", *command[1:], "--out", "out.x", cwd=workdir
+        )
+        assert r.returncode == 2, r.stderr
+        assert "nowhere.csv" in r.stderr and "Traceback" not in r.stderr, r.stderr
+        assert not (workdir / "out.x").exists()

@@ -105,6 +105,21 @@ class TestLpCurve:
         ratio = np.median(c1["stderr"][1:] / c2["stderr"][1:])
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
 
+    @pytest.mark.parametrize("n_paths", [1, 37, 3000])
+    def test_bootstrap_matches_resample_loop(self, n_paths):
+        # the resample counts give the same curve as averaging each resample's
+        # rows; 3000 paths take several blocks of resamples, the last one short
+        gw = sm.GWModel(pmf=(0.25, 0.0, 0.75))
+        ens = sm.simulate_gw(gw, 20, n_paths, seed=9)
+        p, n_boot = 1.5, 200
+        curve = lp_curve(ens, p, n_boot=n_boot)
+        dev = np.abs(ens.M[:, -1:] - ens.M[:, : len(curve["t"])]) ** p
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 7])))
+        boots = [np.mean(dev[rng.integers(0, n_paths, n_paths)], axis=0) ** (1 / p)
+                 for _ in range(n_boot)]
+        np.testing.assert_allclose(curve["value"], np.mean(dev, axis=0) ** (1 / p), rtol=1e-12)
+        np.testing.assert_allclose(curve["stderr"], np.std(boots, axis=0, ddof=1), rtol=1e-12)
+
     def test_flagged_paths_excluded(self):
         t = np.linspace(0, 4, 5)
         m = np.ones((10, 5))

@@ -56,7 +56,7 @@ class TestPowerLawOffspring:
 
     def test_aggregated_sum_matches_direct_zipf(self):
         # the binned multinomial sampler must agree in law with direct
-        # zipf sums; compare two independent batches at a super-threshold N
+        # zipf sums; compare two independent batches at a large N
         alpha = 1.3
         n_parents = 20_000
         reps = 300
@@ -73,7 +73,29 @@ class TestPowerLawOffspring:
         stat = ks_2samp(hybrid, direct)
         assert stat.pvalue > 1e-3
 
-    def test_small_population_direct_path(self):
+    @pytest.mark.parametrize("n_parents,reps", [(1, 4000), (10, 2000), (100, 1000), (1000, 500)])
+    def test_small_population_matches_direct_zipf(self, n_parents, reps):
+        # the same binned sampler serves small populations, one parent included
+        alpha = 1.3
+        rng1 = np.random.Generator(np.random.PCG64(20 + n_parents))
+        rng2 = np.random.Generator(np.random.PCG64(30 + n_parents))
+        binned = [_powerlaw_generation(n_parents, alpha, rng1) for _ in range(reps)]
+        direct = [rng2.zipf(1.0 + alpha, size=n_parents).sum() for _ in range(reps)]
+        assert ks_2samp(np.array(binned, dtype=float), np.array(direct, dtype=float)).pvalue > 1e-3
+
+    def test_single_parent_atom_at_one(self):
+        # P(one child) = 1/zeta(2.3) for the zeta(1 + 1.3) law
+        from scipy.special import zeta
+
+        rng = np.random.Generator(np.random.PCG64(13))
+        reps = 20_000
+        totals = np.array([_powerlaw_generation(1, 1.3, rng) for _ in range(reps)])
+        p1 = 1.0 / float(zeta(2.3))
+        z = (np.mean(totals == 1) - p1) / math.sqrt(p1 * (1.0 - p1) / reps)
+        assert abs(z) <= 4.0
+        assert totals.min() >= 1
+
+    def test_every_parent_has_a_child(self):
         rng = np.random.Generator(np.random.PCG64(12))
         total = _powerlaw_generation(100, 1.3, rng)
         assert total >= 100  # offspring counts are >= 1
