@@ -35,7 +35,6 @@ from .criteria import (
     log_moment,
     lower_bound_b,
     p_moment,
-    uniform_tail_B,
     conjugate,
 )
 from .sim import (

@@ -91,7 +91,6 @@ SCENARIO_SCHEMA = {
                         "p": {"type": "array", "items": {"type": "number"}},
                         "gamma": {"type": "array", "items": {"type": "number"}},
                         "F": {"type": "array", "items": {"type": "integer"}},
-                        "t0": {"type": "number"},
                         "t1": {"type": "number"},
                     },
                 },
@@ -214,7 +213,6 @@ def _criteria(model, gw, eig, cfg: dict):
             p_values=p_values,
             gamma_values=gamma_values,
             f_set=cfg.get("F"),
-            t0=cfg.get("t0", 10.0),
             t1=cfg.get("t1", 10.0),
         )
     except ValueError as exc:
@@ -226,7 +224,7 @@ def _criteria(model, gw, eig, cfg: dict):
 _UNREAD = {
     "gw": ["x0"]
     + [f"sim.{key}" for key in SCENARIO_SCHEMA["properties"]["sim"]["properties"] if key != "paths"]
-    + ["analyses.criteria.F", "analyses.criteria.t0", "analyses.criteria.t1", "analyses.rates.F"],
+    + ["analyses.criteria.F", "analyses.criteria.t1", "analyses.rates.F"],
     "csbp": ["gw", "sim.delta", "sim.delta_floor"],
     "spine": ["gw"],
 }
@@ -344,14 +342,13 @@ def _rates_payload(ens, eig, preds, rate_cfg: dict):
     return fits, checks, curves
 
 
-def _clause(holds: bool, chk: dict) -> dict:
-    """A clause whose prediction is ``holds`` and whose observation is ``chk``'s verdict."""
-    expected = "holds" if holds else "fails-consistent"
-    return {
-        "predicted": expected,
-        "observed": chk["verdict"],
-        "verdict": "consistent" if chk["verdict"] == expected else "inconsistent",
-    }
+def _clause(predicted: str | None, chk: dict) -> dict:
+    """A clause predicted ``holds``, ``fails-consistent`` or None, observed as ``chk``'s verdict."""
+    if predicted is None:
+        verdict = "unpredicted"
+    else:
+        verdict = "consistent" if chk["verdict"] == predicted else "inconsistent"
+    return {"predicted": predicted, "observed": chk["verdict"], "verdict": verdict}
 
 
 def _summary(preds, fits, checks) -> dict:
@@ -375,12 +372,17 @@ def _summary(preds, fits, checks) -> dict:
             }
         chk = checks.get(f"as_rate_p{p:g}")
         if chk is not None:
-            clauses[f"as_rate_p{p:g}"] = _clause(item["as_rate_holds"], chk)
+            # the uniform tail bound is finite, so an infinite p-moment breaks the rate
+            predicted = "holds" if item["as_rate_holds"] else "fails-consistent"
+            clauses[f"as_rate_p{p:g}"] = _clause(predicted, chk)
     for item in preds.per_gamma:
         g = item["gamma"]
         chk = checks.get(f"poly_gamma{g:g}")
         if chk is not None:
-            clauses[f"poly_rate_gamma{g:g}"] = _clause(item["poly_rate_holds"], chk)
+            # an infinite log moment predicts a failure only where b > 0
+            fails = "fails-consistent" if item["series_fails_expected"] else None
+            predicted = "holds" if item["poly_rate_holds"] else fails
+            clauses[f"poly_rate_gamma{g:g}"] = _clause(predicted, chk)
     wl = checks.get("window_law")
     if wl is not None:
         ns = wl["n_values"]
@@ -413,7 +415,7 @@ def cmd_eigen(args):
 def cmd_criteria(args):
     model, gw = _resolve_model(args.model)
     given = {
-        name: getattr(args, name) for name in ("F", "t0", "t1") if getattr(args, name) is not None
+        name: getattr(args, name) for name in ("F", "t1") if getattr(args, name) is not None
     }
     if gw is not None and given:
         _fail(EXIT_SCHEMA, f"criteria on a Galton-Watson model does not read --{next(iter(given))}")
@@ -600,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, action="append", default=[])
     p.add_argument("--gamma", type=float, action="append", default=[])
     p.add_argument("--F", default=None, help="comma-separated type indices (0-based)")
-    p.add_argument("--t0", type=float, help="CSBP only; 10 by default")
     p.add_argument("--t1", type=float, help="CSBP only; 10 by default")
     p.add_argument("--out")
     p.set_defaults(func=cmd_criteria)

@@ -18,18 +18,20 @@ The criteria evaluated here, with the downstream prediction each one drives:
                           the borderline o((log t)^-g) condition, whose
                           product (log r - log t)(log t)^g <= (log r)^(g+1)
                           is bounded by the moment's vanishing tail.
-* ``uniform_tail_B``   -- uniform upper bound on per-type tails; under it an
-                          infinite p-moment makes the exponential rate fail.
 * ``lower_bound_b``    -- uniform lower bound on first-moment tails over a
                           seed set F; under it an infinite log-moment makes
                           the series criterion fail.
 
-``B`` and ``b`` are read off one ``(grid, types)`` table of tails, built from
-the kernels' own scalar closed forms.  Row maxima, minima and ratios are
-vectorized (division and comparison are exact), but each row's denominator
-``sum_y nu_y tail_y(t)`` stays one ``nu @ row`` dot product: a matrix-vector
-product ``table @ nu`` or a Python sum rounds differently in some rows, and
-so would numpy's vectorized ``power`` in place of the scalar kernel powers.
+The uniform upper tail bound ``B``, under which an infinite p-moment makes
+the almost-sure rate fail, is finite here and is not computed: irreducible
+motion on finitely many types gives every ``nu_x > 0``, so ``tail^phi_x(t) /
+phi_x <= sum_y nu_y tail^phi_y(t) / (phi_x nu_x)`` and ``B <= max_x 1/(phi_x nu_x)``.
+
+``b`` is read off one ``(grid, types)`` table of first-moment tails from the
+kernels' scalar closed forms.  Row minima and ratios are vectorized (division
+and comparison are exact), but each row's denominator ``sum_y nu_y tail_y(t)``
+stays one ``nu @ row`` dot product: ``table @ nu``, a Python sum or numpy's
+vectorized ``power`` would round differently in some rows.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "llogl",
     "p_moment",
     "log_moment",
-    "uniform_tail_B",
     "lower_bound_b",
     "evaluate_criteria",
     "gw_predictions",
@@ -100,55 +101,26 @@ def log_moment(model: Model, eig: Eigentriple, gamma: float) -> float:
     return _nu_average(model, eig, lambda k: k.log_moment(gamma))
 
 
-def _tail_table(eig: Eigentriple, t_lo: float, name: str, k: float, columns):
-    """``kernel.partial_moment(k, t / s, inf)`` for each ``(kernel, s)`` of ``columns``
-    on the log grid over ``(t_lo, 1e6]``.
-
-    Returns the ``(grid, types)`` table and each row's ``nu``-average.  The
-    entries come from scalar closed forms at Python-float times, and every
-    average is its own dot product, so both match a per-t loop bit for bit.
-    """
-    if not (0.0 < t_lo < _GRID_HI):
-        raise ValueError(f"{name} must lie in (0, {_GRID_HI:g}), got {t_lo!r}")
-    if (eig.phi <= 0).any():
-        raise ValueError("phi must be strictly positive")
-    n = max(2, int(math.ceil(math.log10(_GRID_HI / t_lo) * _GRID_PER_DECADE)))
-    grid = np.geomspace(t_lo * (1.0 + 1e-9), _GRID_HI, n).tolist()
-    table = np.array([[kern.partial_moment(k, t / s, math.inf) for kern, s in columns] for t in grid])
-    dens = np.array([float(eig.nu @ row) for row in table])
-    return table, dens
-
-
-def uniform_tail_B(model: Model, eig: Eigentriple, t0: float = 10.0) -> float:
-    """Best constant in the uniform tail bound, taken as a sup over a log grid.
-
-    ``B(t) = sup_x [(1/phi_x) * tail^phi_x(t)] / [sum_y nu_y tail^phi_y(t)]``;
-    the reported value is ``sup_{t in (t0, 1e6]} B(t)``.  For a pure stable
-    model the ratio is t-independent.  Returns ``inf`` when the denominator
-    vanishes while some numerator does not (the bound fails).
-    """
-    # on pi at t / phi_i: the image's gamma phi^alpha t^-alpha / alpha rounds differently
-    tails, dens = _tail_table(eig, t0, "t0", 0.0, list(zip(model.kernels, eig.phi.tolist())))
-    nums = np.max(tails / eig.phi, axis=1)
-    live = dens > 0.0
-    if (nums[~live] > 0.0).any():
-        return math.inf
-    return float(np.max(nums[live] / dens[live], initial=0.0))
-
-
 def lower_bound_b(model: Model, eig: Eigentriple, f_set, t1: float = 10.0) -> float:
     """Best constant in the lower first-moment-tail bound over the set ``f_set``.
 
     ``b(t) = inf_{x in F} [(1/phi_x) integral_t^inf r pi^phi_x] /
     [sum_y nu_y integral_t^inf r pi^phi_y]``; reported as the inf over the
-    log grid.  Returns 0 when the bound collapses (condition fails).  Raises
-    ``ValueError`` for an empty ``F`` or an index outside ``[0, d)``.
+    log grid on ``(t1, 1e6]``.  Returns 0 when the bound collapses (condition
+    fails).  Raises ``ValueError`` for an empty ``F`` or an index outside ``[0, d)``.
     """
     f_idx = seed_set(f_set, model.d)
     if float(sum(eig.nu[i] for i in f_idx)) <= 0.0:
         raise ValueError("nu(F) must be positive")
-    images = [(k.phi_image(p), 1.0) for k, p in zip(model.kernels, eig.phi.tolist())]
-    tails, dens = _tail_table(eig, t1, "t1", 1.0, images)
+    if not (0.0 < t1 < _GRID_HI):
+        raise ValueError(f"t1 must lie in (0, {_GRID_HI:g}), got {t1!r}")
+    if (eig.phi <= 0).any():
+        raise ValueError("phi must be strictly positive")
+    n = max(2, int(math.ceil(math.log10(_GRID_HI / t1) * _GRID_PER_DECADE)))
+    grid = np.geomspace(t1 * (1.0 + 1e-9), _GRID_HI, n).tolist()
+    images = [k.phi_image(p) for k, p in zip(model.kernels, eig.phi.tolist())]
+    tails = np.array([[img.partial_moment(1.0, t, math.inf) for img in images] for t in grid])
+    dens = np.array([float(eig.nu @ row) for row in tails])
     nums = np.min(tails[:, f_idx] / eig.phi[f_idx], axis=1)
     # a row with no tail mass anywhere holds vacuously and is skipped
     live = dens > 0.0
@@ -193,7 +165,6 @@ class CriteriaReport:
     llogl: float
     p_moments: dict
     log_moments: dict
-    B: float
     b: float
     lam: float
     predictions: Predictions
@@ -203,27 +174,37 @@ class CriteriaReport:
             "llogl": self.llogl,
             "p_moments": {str(k): v for k, v in self.p_moments.items()},
             "log_moments": {str(k): v for k, v in self.log_moments.items()},
-            "B": self.B,
             "b": self.b,
             "lambda": self.lam,
             "predictions": self.predictions.as_dict(),
         }
 
 
-def _p_row(p: float, lam: float, mom: float, bound_holds: bool) -> dict:
+def _p_row(p: float, lam: float, mom: float) -> dict:
     """Verdicts for one ``p``: the L^p-norm decay exponent is ``lam / q`` (the
-    boundary of the o(exp(-lam t / a*)) family over a < p), the almost-sure rate
-    ``exp(-lam t / q)`` holds iff the p-moment is finite, and its failure is
-    expected when it is not and ``bound_holds``."""
+    boundary of the o(exp(-lam t / a*)) family over a < p), and the almost-sure
+    rate ``exp(-lam t / q)`` holds iff the p-moment is finite (it fails when it
+    is not, since the uniform tail bound is finite)."""
     q = conjugate(p)
-    finite = math.isfinite(mom)
     return {
         "p": p,
         "q": q,
         "p_moment": mom,
         "lp_rate_exponent": lam / q,
-        "as_rate_holds": finite,
-        "as_rate_fails_expected": (not finite) and bound_holds,
+        "as_rate_holds": math.isfinite(mom),
+    }
+
+
+def _gamma_row(g: float, mom: float, b: float) -> dict:
+    """Verdicts for one ``gamma``: the polynomial rate ``t^-g``, the series
+    criterion and the borderline condition hold when the log moment is finite;
+    with a positive lower bound ``b`` an infinite one breaks the series."""
+    finite = math.isfinite(mom)
+    return {
+        "gamma": g,
+        "log_moment": mom,
+        "poly_rate_holds": finite,
+        "series_fails_expected": not finite and b > 0.0,
     }
 
 
@@ -233,37 +214,23 @@ def evaluate_criteria(
     p_values=(),
     gamma_values=(),
     f_set=None,
-    t0: float = 10.0,
     t1: float = 10.0,
 ) -> CriteriaReport:
     """Evaluate every requested criterion and the rate verdicts it predicts.
 
-    Each ``p`` gets a `_p_row`, whose failure branch needs a finite uniform
-    tail bound ``B``.  For each ``gamma`` the polynomial rate ``t^-gamma``, the
-    series criterion and the borderline condition hold when the log moment is
-    finite; with a positive lower bound ``b`` an infinite one breaks the series.
+    Each ``p`` gets a `_p_row` and each ``gamma`` a `_gamma_row`.
     """
     f_set = list(range(model.d)) if f_set is None else f_set
     log_moments = {g: log_moment(model, eig, g) for g in gamma_values}
     ll = llogl(model, eig)
     p_moments = {p: p_moment(model, eig, p) for p in p_values}
-    B = uniform_tail_B(model, eig, t0)
     b = lower_bound_b(model, eig, f_set, t1)
-    per_gamma = [
-        {
-            "gamma": g,
-            "log_moment": mom,
-            "poly_rate_holds": math.isfinite(mom),
-            "series_fails_expected": not math.isfinite(mom) and b > 0.0,
-        }
-        for g, mom in log_moments.items()
-    ]
     predictions = Predictions(
         nondegenerate=math.isfinite(ll),
-        per_p=[_p_row(p, eig.lam, mom, math.isfinite(B)) for p, mom in p_moments.items()],
-        per_gamma=per_gamma,
+        per_p=[_p_row(p, eig.lam, mom) for p, mom in p_moments.items()],
+        per_gamma=[_gamma_row(g, mom, b) for g, mom in log_moments.items()],
     )
-    return CriteriaReport(ll, p_moments, log_moments, B, b, eig.lam, predictions)
+    return CriteriaReport(ll, p_moments, log_moments, b, eig.lam, predictions)
 
 
 def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
@@ -271,12 +238,11 @@ def gw_predictions(gw: GWModel, p_values=(), gamma_values=()) -> Predictions:
 
     The role of ``lambda`` is played by ``log m``; the p-moment condition is
     ``E[Z^p] < infty`` and the log-moment condition ``E[Z (log Z)^(1+g)]``.
+    With one type ``b`` is 1, so an infinite log moment breaks the series.
     """
     lam = math.log(gw.mean())
-    per_p = [_p_row(p, lam, gw.moment(p), True) for p in p_values]
-    per_gamma = []
-    for g in gamma_values:
-        mom = gw.log_moment(g)
-        per_gamma.append({"gamma": g, "log_moment": mom, "poly_rate_holds": math.isfinite(mom)})
-    nondegenerate = math.isfinite(gw.log_moment(0.0))
-    return Predictions(nondegenerate=nondegenerate, per_p=per_p, per_gamma=per_gamma)
+    return Predictions(
+        nondegenerate=math.isfinite(gw.log_moment(0.0)),
+        per_p=[_p_row(p, lam, gw.moment(p)) for p in p_values],
+        per_gamma=[_gamma_row(g, gw.log_moment(g), 1.0) for g in gamma_values],
+    )

@@ -7,10 +7,8 @@ restricted to times at or below half the horizon, where the proxy bias sits
 far below the decay being measured.
 
 Little-o rate statements are upper bounds: a curve decaying *faster* than
-the predicted envelope is consistent with the theorem.  ``RateFit.verdict``
-keeps the symmetric closeness rule (useful when the prediction is sharp,
-e.g. finite-variance offspring); ``bound_verdict`` gives the one-sided
-reading appropriate for o(.) claims.
+the predicted envelope is consistent with the theorem, so a fit's
+``bound_verdict`` is one-sided and only a slower decay is ``inconsistent``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ class RateFit:
     window: tuple
     n_paths: int
     predicted: float | None
-    verdict: str
     r_squared: float
     bound_verdict: str | None = None
 
@@ -58,7 +55,6 @@ class RateFit:
             "window": list(self.window),
             "n_paths": self.n_paths,
             "predicted": self.predicted,
-            "verdict": self.verdict,
             "r_squared": self.r_squared,
             "bound_verdict": self.bound_verdict,
         }
@@ -131,16 +127,14 @@ def _ols_line(x: np.ndarray, y: np.ndarray):
     return slope, intercept, se, r2
 
 
-def _verdicts(slope: float, se: float, r2: float, predicted: float | None):
+def _bound_verdict(slope: float, se: float, r2: float, predicted: float | None) -> str | None:
     if r2 < _R2_FLOOR:
-        return "inconclusive", "inconclusive"
+        return "inconclusive"
     if predicted is None:
-        return "inconclusive", None
-    tol = max(2.0 * se, 0.15 * abs(predicted))
-    verdict = "consistent" if abs(slope - predicted) <= tol else "inconsistent"
+        return None
     # one-sided: an o(.) bound only requires decay at least this fast
-    bound = "consistent" if slope <= predicted + tol else "inconsistent"
-    return verdict, bound
+    tol = max(2.0 * se, 0.15 * abs(predicted))
+    return "consistent" if slope <= predicted + tol else "inconsistent"
 
 
 def fit_exponential(curve: dict, predicted: float | None = None) -> RateFit:
@@ -160,7 +154,6 @@ def _fit(curve: dict, predicted: float | None, kind: str, log_t: bool) -> RateFi
     if (v <= 0).any() or (log_t and (t <= 0).any()):
         raise ValueError(f"{kind} fit needs positive {'times and ' if log_t else ''}curve values")
     slope, _, se, r2 = _ols_line(np.log(t) if log_t else t, np.log(v))
-    verdict, bound = _verdicts(slope, se, r2, predicted)
     return RateFit(
         kind=kind,
         exponent=slope,
@@ -168,9 +161,8 @@ def _fit(curve: dict, predicted: float | None, kind: str, log_t: bool) -> RateFi
         window=(float(t[0]), float(t[-1])),
         n_paths=int(curve.get("n_paths", 0)),
         predicted=predicted,
-        verdict=verdict,
         r_squared=r2,
-        bound_verdict=bound,
+        bound_verdict=_bound_verdict(slope, se, r2, predicted),
     )
 
 

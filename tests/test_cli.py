@@ -74,7 +74,7 @@ class TestSubcommands:
     def test_criteria_flags(self, workdir):
         r = run_cli(
             "criteria", "--model", "model.json", "--p", "1.2", "--p", "1.8",
-            "--gamma", "1.0", "--F", "0", "--t0", "10", "--t1", "10",
+            "--gamma", "1.0", "--F", "0", "--t1", "10",
             cwd=workdir,
         )
         assert r.returncode == 0, r.stderr
@@ -148,8 +148,8 @@ class TestArgumentRefusals:
             ("--F=-1", ("F index -1", "[0, 2)")),
             ("--F=9", ("F index 9", "[0, 2)")),
             ("--F=0,", ("--F", "'0,'")),
-            ("--t0=0", ("t0 must lie in",)),
-            ("--t0=-5", ("t0 must lie in", "-5")),
+            ("--t1=1e6", ("t1 must lie in",)),
+            ("--t1=-5", ("t1 must lie in", "-5")),
             ("--t1=0", ("t1 must lie in",)),
         ],
     )
@@ -187,7 +187,7 @@ class TestArgumentRefusals:
         # refused before any artifact is written
         assert not (workdir / "outdir").exists()
 
-    @pytest.mark.parametrize("flag", ["--F=7", "--F=0", "--t0=5", "--t1=5"])
+    @pytest.mark.parametrize("flag", ["--F=7", "--F=0", "--t1=5"])
     def test_criteria_gw_refuses_csbp_options(self, workdir, flag):
         (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
         r = run_cli("criteria", "--model", "gw.json", "--p", "1.5", flag, cwd=workdir)
@@ -197,12 +197,23 @@ class TestArgumentRefusals:
         assert "Traceback" not in r.stderr
         assert not (workdir / "criteria.json").exists()
 
+    @pytest.mark.parametrize("kind", ["csbp", "gw"])
+    def test_criteria_t0_is_gone(self, workdir, kind):
+        # no uniform tail bound is computed, so it has no grid start to set
+        (workdir / "gw.json").write_text(json.dumps(GW_MODEL))
+        model = "gw.json" if kind == "gw" else "model.json"
+        r = run_cli("criteria", "--model", model, "--p", "1.5", "--t0", "10", cwd=workdir)
+        assert r.returncode == 1, r.stderr
+        assert "unrecognized arguments: --t0 10" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "criteria.json").exists()
+
     def test_criteria_grid_defaults(self, workdir):
-        # without --t0 and --t1 a CSBP model is read at both grid starts 10
+        # without --t1 a CSBP model is read at the grid start 10
         r = run_cli("criteria", "--model", "model.json", "--p", "1.2", "--out", "a.json", cwd=workdir)
         assert r.returncode == 0, r.stderr
         r = run_cli(
-            "criteria", "--model", "model.json", "--p", "1.2", "--t0", "10", "--t1", "10",
+            "criteria", "--model", "model.json", "--p", "1.2", "--t1", "10",
             "--out", "b.json", cwd=workdir,
         )
         assert r.returncode == 0, r.stderr
@@ -324,6 +335,9 @@ class TestArgumentRefusals:
         assert not (workdir / "outdir").exists()
 
 
+T0_REFUSED = "schema violation at '/analyses/criteria'"
+
+
 class TestBadSimSettings:
     """A setting the engine refuses exits 1 with a message, before any artifact."""
 
@@ -365,13 +379,15 @@ class TestBadSimSettings:
             ("gw", {"sim.epsilon": 0.5}, "kind 'gw' does not read sim.epsilon"),
             ("gw", {"sim.delta": 1e-3}, "kind 'gw' does not read sim.delta"),
             ("gw", {"analyses.criteria.F": [0]}, "kind 'gw' does not read analyses.criteria.F"),
-            ("gw", {"analyses.criteria.t0": 5.0}, "kind 'gw' does not read analyses.criteria.t0"),
+            # no kind reads a uniform tail bound's grid start: refused by the schema
+            ("gw", {"analyses.criteria.t0": 5.0}, T0_REFUSED),
             ("gw", {"analyses.criteria.t1": 5.0}, "kind 'gw' does not read analyses.criteria.t1"),
             ("gw", {"analyses.rates.F": [0]}, "kind 'gw' does not read analyses.rates.F"),
             ("csbp", {"gw.generations": 5}, "kind 'csbp' does not read gw"),
             ("csbp", {"sim.delta": 0.5}, "kind 'csbp' does not read sim.delta"),
             ("csbp", {"sim.delta_floor": 1e-3}, "kind 'csbp' does not read sim.delta_floor"),
             ("spine", {"gw.generations": 5}, "kind 'spine' does not read gw"),
+            ("csbp", {"analyses.criteria.t0": 5.0}, T0_REFUSED),
         ],
     )
     def test_run(self, workdir, kind, sim, needle):
@@ -518,19 +534,16 @@ class TestRun:
 
     def test_criteria_json_keys(self, workdir):
         # one layout for both model kinds: the verdicts under "predictions"
-        p_row = {"p", "q", "p_moment", "lp_rate_exponent", "as_rate_holds", "as_rate_fails_expected"}
+        p_row = {"p", "q", "p_moment", "lp_rate_exponent", "as_rate_holds"}
+        gamma_row = {"gamma", "log_moment", "poly_rate_holds", "series_fails_expected"}
         gw_scn = {
             "model": GW_MODEL, "kind": "gw", "master_seed": 1, "gw": {"generations": 3},
             "sim": {"paths": 5}, "analyses": {"criteria": {"p": [1.2], "gamma": [1.0]}},
         }
         csbp_scn = scenario(sim={"dt": 0.01, "horizon": 1.0, "paths": 5})
-        for scn, top, gamma_row in (
-            (
-                csbp_scn,
-                {"meta", "llogl", "p_moments", "log_moments", "B", "b", "lambda", "predictions"},
-                {"gamma", "log_moment", "poly_rate_holds", "series_fails_expected"},
-            ),
-            (gw_scn, {"meta", "predictions"}, {"gamma", "log_moment", "poly_rate_holds"}),
+        for scn, top in (
+            (csbp_scn, {"meta", "llogl", "p_moments", "log_moments", "b", "lambda", "predictions"}),
+            (gw_scn, {"meta", "predictions"}),
         ):
             (workdir / "scn.json").write_text(json.dumps(scn))
             r = run_cli("run", "--config", "scn.json", "--out", scn["kind"], cwd=workdir)
@@ -716,6 +729,42 @@ class TestRun:
         r = run_cli("run", "--config", "scn.json", "--out", "gwout", cwd=workdir)
         assert r.returncode == 0, r.stderr
         assert len(_body(workdir / "gwout" / "paths.csv")) == 1 + 1000 * 6
+
+
+class TestSummaryClauses:
+    """A clause predicts a failure only where a theorem does; no supported
+    kernel has an infinite log moment, so the predictions are built by hand."""
+
+    CHECKS = {"as_rate_p1.8": {"verdict": "fails-consistent"}, "poly_gamma1": {"verdict": "fails-consistent"}}
+
+    def _clauses(self, per_p=(), per_gamma=()):
+        from supermart.cli import _summary
+
+        preds = sm.Predictions(nondegenerate=True, per_p=list(per_p), per_gamma=list(per_gamma))
+        return _summary(preds, [], self.CHECKS)
+
+    @pytest.mark.parametrize(
+        "series_fails,predicted,verdict",
+        [(False, None, "unpredicted"), (True, "fails-consistent", "consistent")],
+    )
+    def test_poly_rate_failure_needs_b(self, series_fails, predicted, verdict):
+        row = {
+            "gamma": 1.0, "log_moment": math.inf, "poly_rate_holds": False,
+            "series_fails_expected": series_fails,
+        }
+        clause = self._clauses(per_gamma=[row])["poly_rate_gamma1"]
+        assert clause == {"predicted": predicted, "observed": "fails-consistent", "verdict": verdict}
+
+    @pytest.mark.parametrize(
+        "holds,predicted,verdict", [(False, "fails-consistent", "consistent"), (True, "holds", "inconsistent")]
+    )
+    def test_as_rate_fails_where_the_moment_is_infinite(self, holds, predicted, verdict):
+        row = {
+            "p": 1.8, "q": 2.25, "p_moment": 1.0 if holds else math.inf,
+            "lp_rate_exponent": 0.4, "as_rate_holds": holds,
+        }
+        clause = self._clauses(per_p=[row])["as_rate_p1.8"]
+        assert clause == {"predicted": predicted, "observed": "fails-consistent", "verdict": verdict}
 
 
 class TestVerifyCommand:

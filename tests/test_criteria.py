@@ -83,20 +83,15 @@ def assert_moments_match_old(model, eig):
         assert sm.log_moment(model, eig, g) == want, g
 
 
-def reference_B(model, eig, t0=10.0):
-    """``uniform_tail_B`` as the per-t loop it replaced."""
+def uniform_tail_ratio(model, eig, t_lo=10.0):
+    """The paper's uniform tail bound on the criteria's log grid:
+    ``sup_t max_x [tail^phi_x(t) / phi_x] / [sum_y nu_y tail^phi_y(t)]``."""
     best = 0.0
-    for t in reference_log_grid(t0):
-        tails = np.array(
-            [old_tail(model.kernels[i], t / float(eig.phi[i])) for i in range(model.d)]
-        )
-        num = np.max(tails / eig.phi)
+    for t in reference_log_grid(t_lo):
+        tails = np.array([old_tail(k, t / float(phi)) for k, phi in zip(model.kernels, eig.phi)])
         den = float(eig.nu @ tails)
-        if den <= 0.0:
-            if num > 0.0:
-                return math.inf
-            continue
-        best = max(best, float(num / den))
+        if den > 0.0:
+            best = max(best, float(np.max(tails / eig.phi)) / den)
     return best
 
 
@@ -290,13 +285,24 @@ class TestLogMoment:
 
 
 class TestUniformTailB:
+    """The criteria compute no uniform tail bound: with finitely many types
+    ``nu > 0``, so the bound is at most ``max_x 1/(phi_x nu_x)``."""
+
+    @staticmethod
+    def finite_bound(eig):
+        assert (eig.phi > 0).all() and (eig.nu > 0).all()
+        return float(np.max(1.0 / (eig.phi * eig.nu)))
+
     def test_single_type_is_one_over_phi(self):
         m = single_type(STABLE)
-        assert sm.uniform_tail_B(m, eig1()) == pytest.approx(1.0, rel=1e-12)
+        assert uniform_tail_ratio(m, eig1()) == pytest.approx(1.0, rel=1e-12)
+        assert self.finite_bound(eig1()) == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetric_two_type(self, symmetric2):
         eig = sm.principal_eigentriple(symmetric2)
-        assert sm.uniform_tail_B(symmetric2, eig) == pytest.approx(1.0, rel=1e-10)
+        ratio = uniform_tail_ratio(symmetric2, eig)
+        assert ratio == pytest.approx(1.0, rel=1e-10)
+        assert ratio <= self.finite_bound(eig) * (1.0 + 1e-12)
 
     def test_two_type_stable_matches_closed_form(self):
         m = sm.model_from_json(
@@ -314,7 +320,14 @@ class TestUniformTailB:
         eig = sm.principal_eigentriple(m)
         gammas = np.array([1.0, 2.0])
         closed = np.max(gammas * eig.phi**0.5) / float(eig.nu @ (gammas * eig.phi**1.5))
-        assert sm.uniform_tail_B(m, eig) == pytest.approx(closed, rel=1e-8)
+        assert uniform_tail_ratio(m, eig) == pytest.approx(closed, rel=1e-8)
+        assert closed <= self.finite_bound(eig)
+
+    @given(case=tail_case())
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_on_random_models(self, case):
+        model, eig, t_lo, _ = case
+        assert uniform_tail_ratio(model, eig, t_lo) <= self.finite_bound(eig) * (1.0 + 1e-12)
 
 
 class TestLowerBoundB:
@@ -360,7 +373,7 @@ class TestLowerBoundB:
 
 class TestTailTableReference:
     """Every criterion equals the old closed forms exactly: the moments, and
-    ``uniform_tail_B`` and ``lower_bound_b`` as their old per-t loops."""
+    ``lower_bound_b`` as its old per-t loop."""
 
     @pytest.mark.parametrize("kernels", [ATOMS3, STABLE3, MIXED3], ids=["atoms", "stable", "mixed"])
     @pytest.mark.parametrize("t_lo", [0.5, 10.0, 3000.0])
@@ -368,7 +381,6 @@ class TestTailTableReference:
         model = ring_model(kernels)
         eig = sm.principal_eigentriple(model)
         assert_moments_match_old(model, eig)
-        assert sm.uniform_tail_B(model, eig, t_lo) == reference_B(model, eig, t_lo)
         for f_set in ([0], [1], [2], [0, 2], [2, 0, 2], [0, 1, 2]):
             got = sm.lower_bound_b(model, eig, f_set, t_lo)
             assert got == reference_b(model, eig, f_set, t_lo), f_set
@@ -378,7 +390,6 @@ class TestTailTableReference:
     def test_random_models(self, case):
         model, eig, t_lo, f_set = case
         assert_moments_match_old(model, eig)
-        assert sm.uniform_tail_B(model, eig, t_lo) == reference_B(model, eig, t_lo)
         assert sm.lower_bound_b(model, eig, f_set, t_lo) == reference_b(model, eig, f_set, t_lo)
 
     def test_zero_gamma_stable_kernel(self):
@@ -386,7 +397,6 @@ class TestTailTableReference:
         eig = sm.principal_eigentriple(model)
         assert_moments_match_old(model, eig)
         assert sm.llogl(model, eig) == sm.log_moment(model, eig, 1.0) == 0.0
-        assert sm.uniform_tail_B(model, eig) == reference_B(model, eig) == 0.0
         assert sm.lower_bound_b(model, eig, [0, 1]) == reference_b(model, eig, [0, 1]) == 0.0
 
     @pytest.mark.parametrize("phi", [0.5, 0.8, 2.0])
@@ -398,14 +408,7 @@ class TestTailTableReference:
             model = ring_model(kernels)
             eig = eig1(phi)
             assert_moments_match_old(model, eig)
-            assert sm.uniform_tail_B(model, eig, 0.5) == reference_B(model, eig, 0.5)
             assert sm.lower_bound_b(model, eig, [0], 0.5) == reference_b(model, eig, [0], 0.5)
-
-    def test_B_is_inf_where_only_a_nu_null_type_has_tail(self):
-        # nu puts no mass on type 1, whose tail outlives type 0's atom at 2
-        model = ring_model([{"kind": "atoms", "atoms": [[2.0, 1.0]]}, STABLE])
-        eig = sm.Eigentriple(lam=1.0, phi=np.array([1.0, 1.0]), nu=np.array([1.0, 0.0]))
-        assert sm.uniform_tail_B(model, eig, 0.5) == reference_B(model, eig, 0.5) == math.inf
 
     def test_b_skips_rows_without_tail_mass(self):
         # first-moment tails vanish above the largest atom: those rows are skipped
@@ -448,8 +451,6 @@ class TestArgumentRefusals:
     @pytest.mark.parametrize("t_lo", [0.0, -5.0, float("nan"), 1e6, 2e6])
     def test_grid_start_outside_range(self, t_lo):
         m = single_type(STABLE)
-        with pytest.raises(ValueError, match="t0 must lie in"):
-            sm.uniform_tail_B(m, eig1(), t_lo)
         with pytest.raises(ValueError, match="t1 must lie in"):
             sm.lower_bound_b(m, eig1(), [0], t_lo)
 
@@ -500,7 +501,6 @@ class TestTheoremPredictions:
         rep = self._report(m, p_values=(1.6,))
         item = rep.predictions.per_p[0]
         assert not item["as_rate_holds"]
-        assert item["as_rate_fails_expected"]  # B finite for pure stable
 
     def test_poly_rate_from_bounded_kernel(self):
         m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0]]})
@@ -537,6 +537,7 @@ class TestGWPredictions:
         assert preds.nondegenerate
         assert preds.per_p[0]["as_rate_holds"]
         assert preds.per_gamma[0]["poly_rate_holds"]
+        assert not preds.per_gamma[0]["series_fails_expected"]
         assert preds.per_p[0]["p_moment"] == pytest.approx(4.0 * 0.75)
 
 

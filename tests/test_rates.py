@@ -36,7 +36,7 @@ class TestFitExponential:
         fit = fit_exponential(curve, predicted=-0.7)
         assert fit.exponent == pytest.approx(-0.7, abs=1e-10)
         assert fit.stderr < 1e-10
-        assert fit.verdict == "consistent"
+        assert fit.bound_verdict == "consistent"
         assert fit.r_squared > 1.0 - 1e-12
 
     def test_power_law_flagged_inconclusive(self):
@@ -45,22 +45,23 @@ class TestFitExponential:
         curve = {"t": t, "value": (1.0 + t) ** -1.0, "n_paths": 100}
         fit = fit_exponential(curve, predicted=-0.5)
         assert fit.r_squared < 0.8
-        assert fit.verdict == "inconclusive"
+        assert fit.bound_verdict == "inconclusive"
 
     def test_verdict_tolerance_rule(self):
         t = np.linspace(0.5, 4.0, 30)
         curve = {"t": t, "value": np.exp(-1.0 * t), "n_paths": 10}
-        # |1.0 - 0.9| = 0.1 <= 0.15 * 0.9: consistent
-        assert fit_exponential(curve, predicted=-0.9).verdict == "consistent"
-        # |1.0 - 0.5| = 0.5 > max(2 se, 0.075): inconsistent
-        assert fit_exponential(curve, predicted=-0.5).verdict == "inconsistent"
+        # slope -1.0 against -0.9: faster than predicted, consistent
+        assert fit_exponential(curve, predicted=-0.9).bound_verdict == "consistent"
+        # against -1.1: slower by 0.1 <= 0.15 * 1.1, consistent
+        assert fit_exponential(curve, predicted=-1.1).bound_verdict == "consistent"
+        # against -1.2: slower by 0.2 > max(2 se, 0.15 * 1.2), inconsistent
+        assert fit_exponential(curve, predicted=-1.2).bound_verdict == "inconsistent"
 
     def test_bound_verdict_one_sided(self):
         # decaying faster than an o(.) envelope stays consistent with it
         t = np.linspace(0.5, 4.0, 30)
         curve = {"t": t, "value": np.exp(-1.0 * t), "n_paths": 10}
         fit = fit_exponential(curve, predicted=-0.5)
-        assert fit.verdict == "inconsistent"
         assert fit.bound_verdict == "consistent"
 
     def test_power_fit_recovery(self):
