@@ -6,7 +6,7 @@ simulate paths (Galton-Watson, multitype CSBP, or the size-biased spine
 process) and check the predictions against ensemble statistics.
 """
 
-from .errors import ModelValidationError, SpectralError, SupermartError
+from .errors import ModelValidationError, NumericalError, SpectralError, SupermartError
 from .model import (
     AtomList,
     GWModel,

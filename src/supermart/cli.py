@@ -8,7 +8,8 @@ reads, 2 model validation or spectral failure, an unusable paths or criteria
 file, or an analysis argument out of range (a seed-set index outside the
 model's types, a criteria grid start or eigen target outside its interval, a
 rate or functional ``p``, ``gamma`` or ``a_star`` outside its range), 3
-numerical failure (more than 10% of paths flagged).
+numerical failure (more than 10% of paths flagged, or a mass that overflows,
+which stops the run before ``paths.csv`` is written).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import SupermartError
+from .errors import NumericalError, SupermartError
 from .model import (
     gw_from_json,
     gw_to_json,
@@ -655,6 +656,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+    except NumericalError as exc:
+        _fail(EXIT_NUMERIC, str(exc))
     except SupermartError as exc:
         _fail(EXIT_MODEL, str(exc))
     return 0

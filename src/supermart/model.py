@@ -21,11 +21,14 @@ Kernel protocol: callers use only these nine methods, never a kernel's class.
 ``partial_moment(k, lo, hi)`` (``0 <= lo < hi``) and ``log_moment(g)``
 integrate ``pi``; ``phi_image(phi_i)`` is the kernel of ``pi^phi``, the image
 of ``pi`` under ``r -> phi_i r``, so every ``pi^phi`` integral is a ``pi``
-integral of ``phi_image(phi_i)``.  ``sample_tail_many`` and
-``sample_size_biased_tail`` draw above a level and raise
-``ModelValidationError`` on an empty tail; ``split_level`` and
-``smallest_jump`` set the engine's jump split; ``to_json`` and ``from_json``
-complete it.  A new family is one class and one ``KERNELS`` entry (``"kind": Class``).
+integral of ``phi_image(phi_i)``.  ``tail_quantile(eps, u)`` and
+``size_biased_tail_quantile(eps, u)`` are the inverse CDFs of ``pi`` and of
+``r pi(dr)`` restricted to ``(eps, inf)`` and normalized, applied to an
+array of uniforms ``u``; the engine feeds them from its per-path pools, so
+a kernel never sees a generator.  Both raise ``ModelValidationError`` on an
+empty tail.  ``split_level`` and ``smallest_jump`` set the engine's jump
+split; ``to_json`` and ``from_json`` complete it.  A new family is one class
+and one ``KERNELS`` entry (``"kind": Class``).
 """
 
 from __future__ import annotations
@@ -112,20 +115,19 @@ class StablePowerLaw:
     def from_json(cls, obj: dict) -> "StablePowerLaw":
         return cls(gamma=obj["gamma"], alpha=obj["alpha"])
 
-    def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` draws from ``pi`` restricted to ``(eps, inf)``, normalized."""
+    def tail_quantile(self, eps: float, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF of ``pi`` restricted to ``(eps, inf)``, normalized, at ``u``."""
         if self.gamma == 0.0:
             raise ModelValidationError(f"empty tail: no kernel mass above {eps}")
-        return eps * (1.0 - rng.random(n)) ** (-1.0 / self.alpha)
+        return eps * (1.0 - u) ** (-1.0 / self.alpha)
 
-    def sample_size_biased_tail(self, eps: float, rng: np.random.Generator) -> float:
-        """One draw from ``r pi(dr)`` restricted to ``(eps, inf)``, normalized.
+    def size_biased_tail_quantile(self, eps: float, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF of ``r pi(dr)`` restricted to ``(eps, inf)``, normalized, at ``u``.
 
         Density ``propto r**(-alpha)`` there, so the tail index is ``alpha-1``.
         """
         if self.gamma == 0.0:
             raise ModelValidationError(f"empty tail: no kernel mass above {eps}")
-        u = rng.random()
         return eps * (1.0 - u) ** (-1.0 / (self.alpha - 1.0))
 
 
@@ -167,16 +169,16 @@ class AtomList:
     def from_json(cls, obj: dict) -> "AtomList":
         return cls(atoms=tuple((r, w) for r, w in obj["atoms"]))
 
-    def _inverse_cdf(self, eps: float, u, size_biased: bool = False):
-        """Atom picked by uniform(s) ``u`` from ``pi`` (or ``r pi``) above ``eps``."""
+    def _inverse_cdf(self, eps: float, u: np.ndarray, size_biased: bool) -> np.ndarray:
+        """Atom picked by each uniform in ``u`` from ``pi`` (or ``r pi``) above ``eps``."""
         rs, cum = _atom_table(self.atoms, eps, size_biased)
         return rs[np.minimum(np.searchsorted(cum, u * cum[-1], side="left"), len(rs) - 1)]
 
-    def sample_tail_many(self, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._inverse_cdf(eps, rng.random(n))
+    def tail_quantile(self, eps: float, u: np.ndarray) -> np.ndarray:
+        return self._inverse_cdf(eps, u, size_biased=False)
 
-    def sample_size_biased_tail(self, eps: float, rng: np.random.Generator) -> float:
-        return float(self._inverse_cdf(eps, rng.random(), size_biased=True))
+    def size_biased_tail_quantile(self, eps: float, u: np.ndarray) -> np.ndarray:
+        return self._inverse_cdf(eps, u, size_biased=True)
 
 
 @lru_cache(maxsize=64)

@@ -12,7 +12,8 @@ Scheme per step of size ``h`` from state ``X`` (one row per path):
   the diagonal of the covariance of the noise born in type ``i`` during the
   step and carried to type ``j`` by the mean map;
 * large jumps: per type a Poisson count with mean ``X_i h int_eps^inf pi_i``,
-  sizes drawn from the normalized tail, compensated by
+  sizes from the normalized tail (the kernel's ``tail_quantile`` of the
+  path's pooled ``sizes`` uniforms), compensated by
   ``- X_i h int_eps^inf r pi_i`` (folded into the deterministic part, so the
   compensator can never push a coordinate negative on its own);
 * negative coordinates are clipped to 0 (0 is absorbing for the true
@@ -25,7 +26,15 @@ accounting budget could not hold, so the increment switches to a compound
 Poisson-exponential draw matched to the same mean and variance.  That
 distribution is the exact quadratic-branching transition shape: nonnegative,
 with a genuine atom at 0, so absorption emerges without clipping; for one
-type without jumps it is the exact Feller transition.
+type without jumps it is the exact Feller transition.  Its ``Gamma(n,
+theta)`` draw is ``theta`` times the sum of the path's next ``n`` pooled
+``reject`` exponentials.
+
+Every draw whose number varies from step to step (near-absorption
+exponentials, jump sizes and times, the spine's immigrant sizes) comes from
+a per-path `VariatePool`, so a step makes no Python call per cell; the
+records module gives the order in which a path consumes them.  A mass that
+leaves the floating-point range stops the run with `NumericalError`.
 
 The variance has to be the end-of-step one.  A type that is empty at the
 start of a step but fed by the motion has a positive mean and, under the
@@ -41,17 +50,24 @@ import math
 
 import numpy as np
 from scipy import linalg
-from scipy.special import pdtr, pdtrik
+from scipy.special import ndtri, pdtr, pdtrik
 
+from ..errors import NumericalError
 from ..model import Model
 from ..spectral import Eigentriple, generator_matrix
-from .records import CHUNK_PATHS, Ensemble, SimConfig, check_x0, path_streams
+from .records import CHUNK_PATHS, Ensemble, SimConfig, VariatePool, check_x0, path_streams
 
 __all__ = ["simulate_csbp", "auto_epsilon"]
 
 _CLIP_BUDGET = 1e-6
-_POIS_VECTOR_CAP = 25.0
 _SMALL_Z2 = 36.0  # Gaussian branch needs mean >= 6 sigma to keep clipping negligible
+# Poisson means up to the near-absorption bound 2 * _SMALL_Z2 are inverted by
+# a search on pdtr; larger ones by scipy's quantile formula
+_POIS_SEARCH_CAP = 2.0 * _SMALL_Z2
+# variates a path draws at a time: few jump sizes per path and step, but up
+# to about 72 exponentials per near-absorbing cell
+_SIZES_BATCH = 32
+_REJECT_BATCH = 128
 
 
 def auto_epsilon(
@@ -65,7 +81,12 @@ def auto_epsilon(
     many jumps), the level is half the smallest jump, which makes every jump
     a logged large jump, or 1.0 for a model without jumps.
     """
-    max_mass = 2.0 * float(np.sum(x0)) * math.exp(max(eig.lam, 0.0) * horizon)
+    try:
+        max_mass = 2.0 * float(np.sum(x0)) * math.exp(max(eig.lam, 0.0) * horizon)
+    except OverflowError:
+        raise NumericalError(
+            f"the mean mass e^(lambda T) overflows at lambda = {eig.lam:g}, horizon T = {horizon:g}"
+        ) from None
     rate_cap = 0.1 / (max_mass * dt)
     eps = max(k.split_level(rate_cap) for k in model.kernels)
     if eps == 0.0:
@@ -88,30 +109,123 @@ def _poisson_quantile(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.where(u > 0.0, k, 0.0).astype(np.int64)
 
 
-def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Poisson inverse CDF, vectorized for small means with a quantile fallback."""
-    out = np.zeros(u.shape, dtype=np.int64)
-    big = mu > _POIS_VECTOR_CAP
-    small = ~big & (mu > 0)
-    if small.any():
-        us, ms = u[small], mu[small]
-        res = np.zeros(us.shape, dtype=np.int64)
-        p = np.exp(-ms)
-        cdf = p.copy()
-        active = us > cdf
-        k = 0
-        k_cap = int(_POIS_VECTOR_CAP + 12 * math.sqrt(_POIS_VECTOR_CAP) + 30)
-        while active.any() and k < k_cap:
-            k += 1
-            p = p * ms / k
-            cdf = cdf + p
-            res[active & (us <= cdf)] = k
-            active &= us > cdf
-        if active.any():  # u in the far numerical tail
-            res[active] = _poisson_quantile(us[active], ms[active])
-        out[small] = res
+def _poisson_search(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Smallest ``k >= 0`` with ``pdtr(k, mu) >= u``, from a Cornish-Fisher guess.
+
+    The guess ``mu + sqrt(mu) z + (z^2 - 1) / 6`` with ``z = ndtri(u)`` (and
+    a continuity half step) is within a count or two of the answer for the
+    means this serves; the walks up and down then touch only the cells not
+    yet settled, with one ``pdtr`` call per step.
+    """
+    z = ndtri(u)
+    k = np.maximum(np.ceil(mu + np.sqrt(mu) * z + (z * z - 1.0) / 6.0 - 0.5), 0.0)
+    low = pdtr(k, mu) < u
+    up = np.flatnonzero(low)
+    while up.size:
+        k[up] += 1.0
+        up = up[pdtr(k[up], mu[up]) < u[up]]
+    # a cell that walked up already has pdtr(k - 1) < u
+    down = np.flatnonzero(~low & (k > 0.0))
+    while down.size:
+        down = down[pdtr(k[down] - 1.0, mu[down]) >= u[down]]
+        k[down] -= 1.0
+        down = down[k[down] > 0.0]
+    return k.astype(np.int64)
+
+
+def _poisson_nonzero(u: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells with a positive count ``poisson.ppf(u, mu)``: flat indices and counts.
+
+    One pass settles every cell with ``u <= exp(-mu)`` (count 0, most cells
+    when means are small); the rest go to `_poisson_search` up to
+    ``_POIS_SEARCH_CAP`` and to `_poisson_quantile` above it.
+    """
+    u = np.ascontiguousarray(u).reshape(-1)
+    mu = np.ascontiguousarray(mu).reshape(-1)
+    live = np.flatnonzero(u > np.exp(-mu))
+    ul, ml = u[live], mu[live]
+    big = ml > _POIS_SEARCH_CAP
     if big.any():
-        out[big] = _poisson_quantile(u[big], mu[big])
+        k = np.empty(live.shape, dtype=np.int64)
+        k[big] = _poisson_quantile(ul[big], ml[big])
+        k[~big] = _poisson_search(ul[~big], ml[~big])
+    else:
+        k = _poisson_search(ul, ml)
+    # pdtr(0, mu) may lie an ulp above exp(-mu)
+    pos = np.flatnonzero(k)
+    return live[pos], k[pos]
+
+
+def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Poisson inverse CDF at uniforms ``u``: ``poisson.ppf(u, mu)``, 0 at ``u = 0``."""
+    out = np.zeros(np.shape(u), dtype=np.int64)
+    cells, k = _poisson_nonzero(u, mu)
+    out.reshape(-1)[cells] = k
+    return out
+
+
+def _poisson_counts_by_type(u: np.ndarray, types: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``_poisson_counts(u, means[types])`` for 1-D cells whose mean is their type's.
+
+    The cells that `_poisson_nonzero` leaves to its search take their count
+    from one table of ``pdtr`` per type, up to where it reaches 1, or from
+    `_poisson_quantile` above ``_POIS_SEARCH_CAP``.
+    """
+    out = np.zeros(u.shape, dtype=np.int64)
+    live = np.flatnonzero(u > np.exp(-means)[types])
+    ul, tl = u[live], types[live]
+    for i in np.flatnonzero(means > 0.0):
+        sel = tl == i
+        mu = float(means[i])
+        if mu > _POIS_SEARCH_CAP:
+            out[live[sel]] = _poisson_quantile(ul[sel], np.full(np.count_nonzero(sel), mu))
+        else:
+            cdf = pdtr(np.arange(math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)), mu)
+            out[live[sel]] = np.searchsorted(cdf, ul[sel])
+    return out
+
+
+def _pooled_gamma(
+    pool: VariatePool, p: np.ndarray, n: np.ndarray, theta: np.ndarray, paths: int
+) -> np.ndarray:
+    """``Gamma(n, theta)`` per cell: ``theta`` times the sum of ``n`` pooled exponentials.
+
+    ``p`` holds each cell's path; the cells come in path order, and a path's
+    cells take its exponentials one after the other.
+    """
+    if not len(n):
+        return np.zeros(0)
+    e = pool.take(_per_path(p, n, paths))
+    return theta * np.add.reduceat(e, np.cumsum(n) - n)
+
+
+def _near_absorption(
+    det: np.ndarray, var: np.ndarray, u: np.ndarray, p: np.ndarray, reject: VariatePool, paths: int
+) -> np.ndarray:
+    """The compound Poisson-exponential draw with mean ``det`` and variance ``var`` per cell.
+
+    A Poisson count with mean ``2 det^2 / var`` (0 where ``det <= 0``) at the
+    cell's uniform ``u``, then ``Gamma(count, var / (2 det))`` from the
+    ``reject`` exponentials of the cell's path ``p``.
+    """
+    lam = np.where(det > 0.0, 2.0 * det * det / np.maximum(var, 1e-300), 0.0)
+    hit, n = _poisson_nonzero(u, lam)
+    out = np.zeros(len(det))
+    out[hit] = _pooled_gamma(reject, p[hit], n, var[hit] / (2.0 * det[hit]), paths)
+    return out
+
+
+def _per_path(p: np.ndarray, n: np.ndarray, paths: int) -> np.ndarray:
+    """Per path the sum of the counts ``n`` of its cells, the paths of the cells in ``p``."""
+    return np.bincount(p, weights=n, minlength=paths).astype(np.int64)
+
+
+def _by_type(quantiles, types: np.ndarray, level: float, u: np.ndarray) -> np.ndarray:
+    """``quantiles[i](level, u)`` applied to the uniforms of ``u`` whose type is ``i``."""
+    out = np.empty_like(u)
+    for i in np.unique(types):
+        sel = types == i
+        out[sel] = quantiles[i](level, u[sel])
     return out
 
 
@@ -144,12 +258,14 @@ def simulate_csbp(
     ``immigration`` is the spine sampler's hook; the plain process passes
     None.  It provides ``extra_uniform_planes``, the number of uniform
     planes per step it reads; ``prepare_chunk(pids, streams)``, which returns
-    an opaque per-chunk context; and ``step_mass(k, x, u_extra, streams,
-    ctx)``, the mass added in step ``k`` given the start-of-step state and
-    its uniform planes.
+    an opaque per-chunk context; and ``step_mass(k, x, u_extra, sizes,
+    ctx)``, the mass added in step ``k`` given the start-of-step state, its
+    uniform planes and the chunk's ``sizes`` pool, which the step's jumps
+    have already drawn from.
 
     The paths run in fixed chunks of ``CHUNK_PATHS``, one after the other.
     ``threads`` is accepted for callers that still pass it, and only as 1.
+    Raises `NumericalError` when a mass leaves the floating-point range.
     """
     d = model.d
     x0 = eig.nu.copy() if x0 is None else check_x0(x0, d)
@@ -162,6 +278,7 @@ def simulate_csbp(
         eps = auto_epsilon(model, eig, x0, h, cfg.horizon)
 
     kernels = model.kernels
+    tail_quantiles = [k.tail_quantile for k in kernels]
     rate_large = np.array([k.partial_moment(0.0, eps, math.inf) for k in kernels])
     m1_large = np.array([k.partial_moment(1.0, eps, math.inf) for k in kernels])
     m2_small = np.array([k.partial_moment(2.0, 0.0, eps) for k in kernels])
@@ -207,9 +324,14 @@ def simulate_csbp(
         g = np.empty((c, n_steps, d))
         u = np.empty((c, n_steps, n_planes))
         for j in range(c):  # each drawn from once: not kept
-            g[j] = streams.fresh(j, "gauss").standard_normal((n_steps, d))
-            u[j] = streams.fresh(j, "counts").random((n_steps, n_planes))
+            streams.fresh(j, "gauss").standard_normal(out=g[j])
+            streams.fresh(j, "counts").random(out=u[j])
         imm_ctx = immigration.prepare_chunk(pids, streams) if immigration is not None else None
+        sizes = VariatePool(streams, "sizes", "random", _SIZES_BATCH)
+        reject = VariatePool(streams, "reject", "standard_exponential", _REJECT_BATCH)
+        # per-type rates as (paths, types) arrays: products with them need no broadcast
+        m1_hc = np.tile(m1_h, (c, 1))
+        rate_hc = np.tile(rate_h, (c, 1))
 
         # views of this chunk's rows of the outputs, filled in place
         mass_rec = masses[start : pids.stop]
@@ -221,48 +343,53 @@ def simulate_csbp(
             # deterministic mean part with the large-jump compensator folded in
             det = _row_product(x, prop)
             if has_jumps:
-                det = det - x * m1_h
+                det = det - x * m1_hc
             var = _row_product(x, var_map)
             small = det * det < _SMALL_Z2 * var
             x_new = det + np.sqrt(var) * g[:, k, :]
+            # cells (path, type) are flat indices into these (paths, types) arrays
+            x_flat = x_new.reshape(-1)
 
             # near-absorption branch: matched compound Poisson-exponential
             if small.any():
-                rows = np.nonzero(small.any(axis=1))[0]
-                small_s = small[rows]
-                det_s = det[rows]
-                var_s = var[rows]
-                me = np.where(small_s, det_s, 0.0)
-                lam_s = np.where(
-                    small_s & (me > 0.0), 2.0 * me * me / np.maximum(var_s, 1e-300), 0.0
+                cells = np.flatnonzero(small)
+                p, i = np.divmod(cells, d)
+                det_c = det.reshape(-1)[cells]
+                clip_acc -= np.bincount(p, weights=np.minimum(det_c, 0.0), minlength=c)
+                x_flat[cells] = _near_absorption(
+                    det_c, var.reshape(-1)[cells], u[p, k, small_lo + i], p, reject, c
                 )
-                n_exp = _poisson_counts(u[rows, k, small_lo : small_lo + d], lam_s)
-                xn_s = x_new[rows]
-                xn_s[small_s] = 0.0
-                clip_acc[rows] -= np.where(small_s, np.minimum(det_s, 0.0), 0.0).sum(axis=1)
-                for jj, i in zip(*np.nonzero(n_exp)):
-                    j = rows[jj]
-                    xn_s[jj, i] = streams[j, "reject"].gamma(
-                        n_exp[jj, i], var_s[jj, i] / (2.0 * det_s[jj, i])
-                    )
-                x_new[rows] = xn_s
 
             if has_jumps:
-                counts = _poisson_counts(u[:, k, :d], x * rate_h)
-                if counts.any():
-                    for j, i in zip(*np.nonzero(counts)):
-                        n = int(counts[j, i])
-                        rng = streams[j, "sizes"]
-                        sizes = kernels[i].sample_tail_many(eps, n, rng)
-                        x_new[j, i] += sizes.sum()
-                        if cfg.log_jumps:
-                            t_jump = k * h + h * rng.random(n)
-                            jump_blocks.append(
-                                np.column_stack([np.full(n, start + j), t_jump, np.full(n, i), sizes])
-                            )
+                cells, n = _poisson_nonzero(u[:, k, :d], x * rate_hc)
+                if len(cells):
+                    # each cell takes its n sizes, then its n times when jumps are logged
+                    p, i = np.divmod(cells, d)
+                    per = 2 if cfg.log_jumps else 1
+                    vals = sizes.take(_per_path(p, per * n, c))
+                    jump_cell = np.repeat(np.arange(len(n)), n)
+                    first = np.cumsum(n) - n
+                    at = np.arange(len(jump_cell)) + (per - 1) * first[jump_cell]
+                    r = _by_type(tail_quantiles, i[jump_cell], eps, vals[at])
+                    x_flat[cells] += np.add.reduceat(r, first)
+                    if cfg.log_jumps:
+                        t_jump = k * h + h * vals[at + n[jump_cell]]
+                        jump_blocks.append(
+                            np.column_stack([start + p[jump_cell], t_jump, i[jump_cell], r])
+                        )
 
             if immigration is not None:
-                x_new = x_new + immigration.step_mass(k, x, u[:, k, d:], streams, imm_ctx)
+                x_new = x_new + immigration.step_mass(k, x, u[:, k, d:], sizes, imm_ctx)
+            if not np.isfinite(x_new).all():
+                bad = start + np.flatnonzero(~np.isfinite(x_new).all(axis=1))
+                t_bad = float(times[np.searchsorted(rec_idx, k + 1)])
+                ids = ", ".join(str(pid) for pid in bad[:10]) + (", ..." if len(bad) > 10 else "")
+                raise NumericalError(
+                    f"mass overflow: {len(bad)} path(s) hold a non-finite mass from the record "
+                    f"at t = {t_bad:g} on (path ids {ids})",
+                    paths=bad,
+                    time=t_bad,
+                )
             neg = x_new < 0
             if neg.any():
                 clip_acc -= np.where(neg, x_new, 0.0).sum(axis=1)
@@ -274,8 +401,8 @@ def simulate_csbp(
                 mass_rec[:, pos, :] = x
 
         m_out[start : pids.stop] = decay * (mass_rec @ eig.phi)
-        # free this chunk's planes before the next chunk draws its own
-        del g, u, imm_ctx
+        # free this chunk's planes and pools before the next chunk draws its own
+        del g, u, imm_ctx, sizes, reject
 
     flagged = clipped > _CLIP_BUDGET * total0 * cfg.horizon
     log = np.concatenate(jump_blocks)

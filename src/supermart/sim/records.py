@@ -8,6 +8,15 @@ engine fixes the draw order within each stream.  The near-absorption role
 keeps the name ``reject``, from a step-rejection redo the engine no longer
 has, and its index, so the roles after it keep their seeds.
 
+The two roles whose draws per step vary reach the engine through a
+`VariatePool` each.  ``reject`` serves standard exponentials: a
+near-absorption cell with Poisson count ``n`` sums the next ``n`` of them.
+``sizes`` serves uniforms to the inverse CDFs of the kernels.  Within a step
+a path consumes them type after type, each type's jump sizes before its
+jump times (times only when jumps are logged), and then the spine's
+discrete immigrant sizes.  Every step draws from the streams in that order,
+so how a pool is batched, and how paths are chunked, moves no draw.
+
 The stream of role ``r`` is the ``PCG64`` that
 ``SeedSequence(entropy=[master_seed, path_id], spawn_key=(r,))`` seeds, but
 its seed words are computed for a whole chunk of paths at once: building a
@@ -36,6 +45,7 @@ __all__ = [
     "Ensemble",
     "check_x0",
     "path_streams",
+    "VariatePool",
     "CHUNK_PATHS",
 ]
 
@@ -137,7 +147,7 @@ class _SeedWords(ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("precomputed seed words serve PCG64 only")
         return self._words
 
@@ -167,6 +177,80 @@ class PathStreams:
     def fresh(self, j: int, role: str) -> np.random.Generator:
         words = self._words[j, _ROLE_INDEX[role]]
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+class VariatePool:
+    """One role's variates of a block of paths, each path in its own stream order.
+
+    ``take(need)`` hands path ``j`` its next ``need[j]`` variates, for every
+    path at once, as one flat array that holds path 0's values, then path
+    1's, and so on.  Over all calls, path ``j`` receives exactly what one
+    call ``getattr(streams[j, role], method)(total_j)`` returns.  Each path
+    keeps a buffer of ``batch`` slots, refilled from its own stream a whole
+    batch at a time once it is used up; the buffers are allocated at the
+    first request.
+    """
+
+    __slots__ = ("_streams", "_role", "_method", "_batch", "_buf", "_rows", "_pos")
+
+    def __init__(self, streams: PathStreams, role: str, method: str, batch: int):
+        self._streams = streams
+        self._role = role
+        self._method = method
+        self._batch = batch
+        self._buf = None  # (paths, batch)
+        self._rows = None  # the rows of _buf, one view per path
+        self._pos = None  # per path, the first slot not yet handed out
+
+    def take(self, need: np.ndarray) -> np.ndarray:
+        need = np.asarray(need, dtype=np.int64)
+        paths = np.flatnonzero(need)  # the paths that draw, and how many each
+        count = need[paths]
+        out = np.empty(int(count.sum()))
+        if not len(out):
+            return out
+        b = self._batch
+        if self._buf is None:
+            self._buf = np.empty((len(need), b))
+            self._rows = list(self._buf)
+            self._pos = np.full(len(need), b)
+        pos = self._pos[paths]
+        dest = np.cumsum(count) - count  # where each path's values start in out
+        # first what the buffers hold
+        give = np.minimum(count, b - pos)
+        self._gather(out, paths, give, dest, pos)
+        pos += give
+        short = np.flatnonzero(count > give)
+        if len(short):
+            # then the paths whose buffers ran dry: refilled a whole batch at
+            # a time, batches beyond the last going straight to out
+            left = count[short] - give[short]
+            dest = dest[short] + give[short]
+            for q, (j, m, o) in enumerate(zip(paths[short].tolist(), left.tolist(), dest.tolist())):
+                draw = getattr(self._streams[j, self._role], self._method)
+                while m > b:
+                    draw(out=out[o : o + b])
+                    o += b
+                    m -= b
+                    left[q], dest[q] = m, o
+                draw(out=self._rows[j])
+            self._gather(out, paths[short], left, dest, np.zeros_like(left))
+            pos[short] = left
+        self._pos[paths] = pos
+        return out
+
+    def _gather(self, out, paths, count, dest, start):
+        """``out[dest + i] = buffer[paths, start + i]`` for ``i < count``, per path."""
+        n = int(count.sum())
+        if not n:
+            return
+        step = np.arange(n)
+        first = np.cumsum(count) - count
+        src = np.repeat(paths * self._batch + start - first, count) + step
+        if n == len(out):  # the values fill out in order
+            out[:] = self._buf.reshape(-1)[src]
+        else:
+            out[np.repeat(dest - first, count) + step] = self._buf.reshape(-1)[src]
 
 
 def path_streams(master_seed: int, path_ids) -> PathStreams:

@@ -11,7 +11,9 @@ an immortal tilted particle (the spine):
   type (this matches the excursion measure's first moment exactly for any
   ``delta``; smaller ``delta`` refines higher moments);
 * discrete immigration arrives at rate ``int_{delta_floor}^inf y pi(xi, dy)``
-  with size-biased initial masses; the part below ``delta_floor`` is dropped
+  with size-biased initial masses (the kernel's
+  ``size_biased_tail_quantile`` of the path's pooled ``sizes`` uniforms,
+  taken after the step's jumps); the part below ``delta_floor`` is dropped
   and its accuracy cost is monitored.
 
 Because independent copies of a branching process superpose into one copy
@@ -31,7 +33,7 @@ import numpy as np
 
 from ..model import Model
 from ..spectral import Eigentriple
-from .csbp import _poisson_counts, simulate_csbp
+from .csbp import _by_type, _poisson_counts_by_type, simulate_csbp
 from .records import Ensemble, SpineConfig, check_x0
 
 __all__ = ["tilted_generator", "simulate_spine", "SpineResult"]
@@ -63,7 +65,6 @@ class _SpineImmigration:
     extra_uniform_planes = 2  # continuum counts, discrete counts
 
     def __init__(self, model: Model, eig: Eigentriple, cfg: SpineConfig, x0: np.ndarray):
-        self.model = model
         self.eig = eig
         self.cfg = cfg
         self.d = model.d
@@ -83,6 +84,7 @@ class _SpineImmigration:
             [k.partial_moment(1.0, cfg.delta_floor, math.inf) for k in model.kernels]
         )
         self.cont_rate = model.alpha_diff / cfg.delta
+        self.size_quantiles = [k.size_biased_tail_quantile for k in model.kernels]
         self.occupation = np.empty((cfg.paths, self.d))
 
     def _simulate_spine_path(self, rng) -> np.ndarray:
@@ -115,27 +117,30 @@ class _SpineImmigration:
             self.occupation[pids.start : pids.stop, i] = (types == i).mean(axis=1)
         return types
 
-    def step_mass(self, k, x_chunk, u_extra, streams, ctx):
-        """Mass added this step; ``u_extra`` holds the two immigration planes."""
+    def step_mass(self, k, x_chunk, u_extra, sizes, ctx):
+        """Mass added this step; ``u_extra`` holds the two immigration planes.
+
+        Each path's discrete immigrants take their sizes from the ``sizes``
+        pool, after the step's jumps, and are summed in draw order.
+        """
         cfg = self.cfg
         h = cfg.dt
         xi = ctx[:, k]
         add = np.zeros_like(x_chunk)
-        c = len(xi)
-        rows = np.arange(c)
+        # each path's cell at the spine's type, as a flat index into add
+        at = np.arange(0, add.size, self.d) + xi
+        add_flat = add.reshape(-1)
 
-        cont_counts = _poisson_counts(u_extra[:, 0], self.cont_rate[xi] * h)
-        add[rows, xi] += cont_counts * cfg.delta
+        cont_counts = _poisson_counts_by_type(u_extra[:, 0], xi, self.cont_rate * h)
+        add_flat[at] = cont_counts * cfg.delta
 
-        disc_counts = _poisson_counts(u_extra[:, 1], self.disc_rate[xi] * h)
-        for j in np.nonzero(disc_counts)[0]:
-            kern = self.model.kernels[xi[j]]
-            rng = streams[j, "sizes"]
-            tot = sum(
-                kern.sample_size_biased_tail(cfg.delta_floor, rng)
-                for _ in range(int(disc_counts[j]))
-            )
-            add[j, xi[j]] += tot
+        disc_counts = _poisson_counts_by_type(u_extra[:, 1], xi, self.disc_rate * h)
+        hit = np.flatnonzero(disc_counts)
+        if len(hit):
+            n = disc_counts[hit]
+            types = np.repeat(xi[hit], n)
+            r = _by_type(self.size_quantiles, types, cfg.delta_floor, sizes.take(disc_counts))
+            add_flat[at[hit]] += np.add.reduceat(r, np.cumsum(n) - n)
         return add
 
 

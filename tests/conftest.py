@@ -124,20 +124,3 @@ def feller1():
             "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}],
         }
     )
-
-
-class FixedRng:
-    """Stub generator returning scripted uniforms (for frozen inverse-CDF tests)."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n=None):
-        if n is None:
-            return self.values.pop(0)
-        return np.array([self.values.pop(0) for _ in range(n)])
-
-
-@pytest.fixture
-def fixed_rng():
-    return FixedRng

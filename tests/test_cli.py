@@ -666,6 +666,31 @@ class TestRun:
         assert r.returncode == 3
         assert "flagged" in r.stderr
 
+    @pytest.mark.parametrize("epsilon", [1.0, None])
+    def test_mass_overflow_exit_3(self, workdir, epsilon):
+        # beta 8 over horizon 100: e^(800) overflows a float; the run must
+        # stop with exit 3 before paths.csv, with or without a jump split
+        scn = {
+            "kind": "csbp", "master_seed": 1,
+            "model": {"types": 1, "Q": [[0.0]], "beta": [8.0], "alpha": [0.5],
+                      "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}]},
+            "sim": {"dt": 0.5, "horizon": 100.0, "paths": 50, "epsilon": epsilon},
+            "analyses": {"rates": {"p": [1.2]}},
+            "out": "overflow",
+        }
+        if epsilon is None:
+            del scn["sim"]["epsilon"]
+        (workdir / "scn.json").write_text(json.dumps(scn))
+        r = run_cli("run", "--config", "scn.json", cwd=workdir)
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (workdir / "overflow" / "paths.csv").exists()
+        if epsilon is None:
+            assert "overflows at lambda = 8, horizon T = 100" in r.stderr
+        else:
+            assert "mass overflow: 50 path(s)" in r.stderr
+            assert "t = 89" in r.stderr and "path ids 0, 1, 2" in r.stderr
+
     @pytest.mark.parametrize("law", [GW_MODEL, {"kind": "gw_powerlaw", "alpha": 1.3}])
     def test_gw_run_writes_its_law(self, workdir, law):
         scn = {

@@ -310,17 +310,20 @@ class TestPhiImage:
 
 
 class TestSampleLargeJump:
-    def test_stable_inverse_cdf_frozen(self, fixed_rng):
-        (r,) = kernel(STABLE).sample_tail_many(1.0, 1, fixed_rng([0.75]))
+    def test_stable_inverse_cdf_frozen(self):
+        (r,) = kernel(STABLE).tail_quantile(1.0, np.array([0.75]))
         # (1 - 0.75) ** (-1/1.5), cross-checked against the empirical CDF below
         assert r == pytest.approx(2.5198420997897464, rel=1e-12)
+        (r,) = kernel(STABLE).size_biased_tail_quantile(1.0, np.array([0.75]))
+        # (1 - 0.75) ** (-1/0.5)
+        assert r == pytest.approx(16.0, rel=1e-12)
 
     def test_stable_tail_matches_dkw_band(self):
         rng = np.random.Generator(np.random.PCG64(7))
         n = 100_000
         eps = 1.0
         kern = kernel(STABLE)
-        samples = kern.sample_tail_many(eps, n, rng)
+        samples = kern.tail_quantile(eps, rng.random(n))
         # DKW band at confidence 0.999
         band = math.sqrt(math.log(2.0 / 0.001) / (2 * n))
         denom = kern.partial_moment(0.0, eps, math.inf)
@@ -333,7 +336,7 @@ class TestSampleLargeJump:
         m = single_type({"kind": "atoms", "atoms": [[2.0, 3.0], [5.0, 1.0]]})
         rng = np.random.Generator(np.random.PCG64(11))
         n = 40_000
-        draws = m.kernels[0].sample_tail_many(1.0, n, rng)
+        draws = m.kernels[0].tail_quantile(1.0, rng.random(n))
         frac2 = float(np.mean(draws == 2.0))
         sigma = math.sqrt(0.75 * 0.25 / n)
         assert abs(frac2 - 0.75) <= 3 * sigma
@@ -355,27 +358,23 @@ class TestSampleLargeJump:
 
         for eps in (0.25, 1.0, 2.5):
             u = np.random.Generator(np.random.PCG64(3)).random(400)
-            rng = np.random.Generator(np.random.PCG64(3))
-            got = kern.sample_tail_many(eps, 200, rng).tolist()
-            got += kern.sample_tail_many(eps, 200, rng).tolist()
-            assert got == [reference(eps, v, False) for v in u]
-            rng = np.random.Generator(np.random.PCG64(3))
-            got = [kern.sample_size_biased_tail(eps, rng) for _ in range(400)]
+            assert kern.tail_quantile(eps, u).tolist() == [reference(eps, v, False) for v in u]
+            got = kern.size_biased_tail_quantile(eps, u).tolist()
             assert got == [reference(eps, v, True) for v in u]
 
     def test_empty_tail_raises(self):
         k = kernel({"kind": "atoms", "atoms": [[2.0, 3.0]]})
         with pytest.raises(ModelValidationError, match="empty tail"):
-            k.sample_tail_many(3.0, 1, np.random.default_rng(0))
+            k.tail_quantile(3.0, np.array([0.5]))
         with pytest.raises(ModelValidationError, match="empty tail"):
-            k.sample_size_biased_tail(3.0, np.random.default_rng(0))
+            k.size_biased_tail_quantile(3.0, np.array([0.5]))
 
     def test_empty_stable_tail_raises(self):
         k = kernel({"kind": "stable", "gamma": 0.0, "alpha": 1.5})
         with pytest.raises(ModelValidationError, match="empty tail"):
-            k.sample_tail_many(1.0, 1, np.random.default_rng(0))
+            k.tail_quantile(1.0, np.array([0.5]))
         with pytest.raises(ModelValidationError, match="empty tail"):
-            k.sample_size_biased_tail(1.0, np.random.default_rng(0))
+            k.size_biased_tail_quantile(1.0, np.array([0.5]))
 
 
 # one instance per registered kind; a new kind needs an entry here
@@ -384,7 +383,7 @@ KERNEL_EXAMPLES = {
     "atoms": {"kind": "atoms", "atoms": [[0.1, 0.30000000000000004], [7.000000000000001, 2.0]]},
 }
 KERNEL_PROTOCOL = (
-    "partial_moment", "log_moment", "phi_image", "sample_tail_many", "sample_size_biased_tail",
+    "partial_moment", "log_moment", "phi_image", "tail_quantile", "size_biased_tail_quantile",
     "split_level", "smallest_jump", "to_json", "from_json",
 )
 

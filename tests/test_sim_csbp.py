@@ -120,6 +120,42 @@ class TestFellerMoments:
             assert abs(z) <= 4.0, (t_val, ext, p)
 
 
+class TestNearAbsorptionDraw:
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_pooled_gamma_ks(self, n):
+        from scipy import stats
+
+        from supermart.sim.csbp import _pooled_gamma
+        from supermart.sim.records import VariatePool, path_streams
+
+        # 2000 paths of ten cells each: every path sums 10 n pooled exponentials
+        paths, theta = 2000, 0.37
+        p = np.repeat(np.arange(paths), 10)
+        pool = VariatePool(path_streams(101 + n, range(paths)), "reject", "standard_exponential", 64)
+        draws = _pooled_gamma(pool, p, np.full(p.size, n), np.full(p.size, theta), paths)
+        assert stats.kstest(draws, "gamma", args=(n, 0.0, theta)).pvalue > 1e-3
+
+    def test_one_cell_atom_mean_and_variance(self):
+        from supermart.sim.csbp import _near_absorption
+        from supermart.sim.records import VariatePool, path_streams
+
+        # det^2 < 36 var; the matched law has an atom exp(-lam) at 0, mean det and
+        # variance var; its cumulants are lam k! theta^k with theta = var / (2 det)
+        cells, det, var = 100_000, 0.5, 0.1
+        lam, theta = 2.0 * det * det / var, var / (2.0 * det)
+        reject = VariatePool(path_streams(77, range(cells)), "reject", "standard_exponential", 64)
+        u = np.random.default_rng(78).random(cells)
+        x = _near_absorption(
+            np.full(cells, det), np.full(cells, var), u, np.arange(cells), reject, cells
+        )
+        assert (x >= 0).all()
+        p0 = math.exp(-lam)
+        assert abs(np.mean(x == 0.0) - p0) <= 4 * math.sqrt(p0 * (1 - p0) / cells)
+        assert abs(x.mean() - det) <= 4 * math.sqrt(var / cells)
+        kappa4 = 24.0 * lam * theta**4
+        assert abs(x.var(ddof=1) - var) <= 4 * math.sqrt((kappa4 + 2 * var * var) / cells)
+
+
 class TestMartingaleMean:
     def test_bounded_jump_model(self, tilted2):
         eig = sm.principal_eigentriple(tilted2)
@@ -284,6 +320,10 @@ class TestDeterminism:
 
 
 class TestPoissonCounts:
+    # means from 1e-8 to 1e9: the search below _POIS_SEARCH_CAP, scipy's
+    # quantile formula above it
+    MEANS = np.geomspace(1e-8, 1e9, 52)
+
     def test_zero_uniform_gives_zero_count(self):
         from supermart.sim.csbp import _poisson_counts
 
@@ -292,6 +332,8 @@ class TestPoissonCounts:
         mu = np.array([1e-3, 0.5, 24.0, 25.0, 25.5, 30.0, 1e4])
         counts = _poisson_counts(np.zeros_like(mu), mu)
         assert counts.tolist() == [0] * len(mu)
+        counts = _poisson_counts(np.zeros_like(self.MEANS), self.MEANS)
+        assert counts.tolist() == [0] * len(self.MEANS)
 
     def test_quantile_equals_scipy_ppf_on_dense_grid(self):
         from scipy.special import pdtr
@@ -313,14 +355,69 @@ class TestPoissonCounts:
         assert np.array_equal(_poisson_quantile(steps, mm), poisson.ppf(steps, mm).astype(np.int64))
 
     def test_counts_equal_scipy_ppf_on_both_branches(self):
+        from scipy.special import pdtr
         from scipy.stats import poisson
 
-        from supermart.sim.csbp import _poisson_counts
+        from supermart.sim.csbp import _POIS_SEARCH_CAP, _poisson_counts
 
         rng = np.random.default_rng(4)
         u = rng.random(20000)
-        mu = np.geomspace(1e-2, 400.0, u.size)
+        mu = np.geomspace(1e-8, 1e9, u.size)
+        assert (mu < _POIS_SEARCH_CAP).any() and (mu > _POIS_SEARCH_CAP).any()
         assert np.array_equal(_poisson_counts(u, mu), poisson.ppf(u, mu).astype(np.int64))
+        # the edges of (0, 1), and every CDF step in a window of 12 standard
+        # deviations around each mean (steps rounded to 0 or 1 are no uniforms)
+        edge = np.array([1e-300, 1e-12, 1e-6, 0.5, 1 - 1e-9, 1 - 2**-53])
+        for m in self.MEANS:
+            sd = math.sqrt(m)
+            k = np.unique(np.round(np.linspace(max(m - 12 * sd, 0.0), m + 12 * sd + 30, 200)))
+            steps = pdtr(k, m)
+            u = np.concatenate([edge, steps[(steps > 0) & (steps < 1)]])
+            mm = np.full(u.shape, m)
+            got = _poisson_counts(u, mm)
+            assert np.array_equal(got, poisson.ppf(u, mm).astype(np.int64)), m
+
+    def test_counts_by_type_equal_counts(self):
+        from scipy.special import pdtr
+
+        from supermart.sim.csbp import _poisson_counts, _poisson_counts_by_type
+
+        rng = np.random.default_rng(5)
+        means = np.array([0.0, 1e-8, 0.004, 5.0, 71.9, 72.5, 300.0])
+        types = rng.integers(0, len(means), 30000)
+        u = rng.random(types.size)
+        u[:50] = 0.0
+        u[50:100] = 1 - 2**-53
+        for i, m in enumerate(means):
+            steps = pdtr(np.arange(0.0, 60.0), m)
+            steps = steps[(steps > 0) & (steps < 1)]
+            at = np.flatnonzero(types == i)[100 : 100 + len(steps)]
+            u[at] = steps[: len(at)]
+        assert np.array_equal(_poisson_counts_by_type(u, types, means), _poisson_counts(u, means[types]))
+
+
+class TestOverflow:
+    def test_non_finite_mass_raises_with_paths_and_time(self):
+        m = sm.model_from_json(
+            {
+                "types": 1,
+                "Q": [[0.0]],
+                "beta": [8.0],
+                "alpha": [0.5],
+                "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}],
+            }
+        )
+        eig = sm.principal_eigentriple(m)
+        cfg = sm.SimConfig(dt=0.5, horizon=100.0, paths=50, master_seed=1, epsilon=1.0)
+        with np.errstate(all="ignore"), pytest.raises(sm.NumericalError) as err:
+            sm.simulate_csbp(m, eig, cfg)
+        assert isinstance(err.value, sm.SupermartError)
+        assert err.value.paths.tolist() == list(range(50))
+        assert err.value.time == 89.0
+        assert "50 path(s)" in str(err.value) and "t = 89" in str(err.value)
+        # without a split the mean mass at the horizon already overflows
+        with pytest.raises(sm.NumericalError, match="overflows at lambda = 8"):
+            sm.simulate_csbp(m, eig, dataclasses.replace(cfg, epsilon=None))
 
 
 class TestConfigValidation:

@@ -9,7 +9,7 @@ from conftest import STABLE_ATOMS, assert_same_ensemble
 import supermart as sm
 import supermart.sim.csbp as csbp_mod
 import supermart.sim.gw as gw_mod
-from supermart.sim.records import path_streams
+from supermart.sim.records import VariatePool, path_streams
 
 # the stream contract: role r of path p under master m is
 # SeedSequence(entropy=[m, p], spawn_key=(r,)), roles in this order
@@ -57,6 +57,28 @@ class TestChunkSeedWords:
         for pid in (-1, 2**32):
             with pytest.raises(ValueError):
                 path_streams(3, [0, pid])
+
+
+class TestVariatePool:
+    @pytest.mark.parametrize("paths", [1, 37, 4096])
+    @pytest.mark.parametrize("method", ["random", "standard_exponential"])
+    def test_each_path_gets_one_call_of_its_stream(self, paths, method):
+        rng = np.random.default_rng(paths)
+        for batch in (1, 7, 512):
+            pool = VariatePool(path_streams(11, range(100, 100 + paths)), "sizes", method, batch)
+            got = [[] for _ in range(paths)]
+            for _ in range(12):
+                # steps that draw nothing, a few, and more than a batch
+                scale = rng.choice([0.0, 0.5, 3.0, 40.0, 700.0])
+                need = rng.poisson(scale, paths) * (rng.random(paths) < 0.6)
+                vals = pool.take(need)
+                assert vals.shape == (need.sum(),)
+                for j, part in enumerate(np.split(vals, np.cumsum(need)[:-1])):
+                    got[j].append(part)
+            ref = path_streams(11, range(100, 100 + paths))
+            for j in range(paths):
+                mine = np.concatenate(got[j])
+                assert np.array_equal(mine, getattr(ref[j, "sizes"], method)(len(mine))), (batch, j)
 
 
 class _Recorder:
@@ -118,7 +140,7 @@ class TestEngineMatchesSeedSequenceStreams:
         new = sm.simulate_csbp(model, eig, cfg)
         calls = reference_streams()
         ref = sm.simulate_csbp(model, eig, cfg)
-        assert "gamma" in calls["reject"]  # near-absorption draw
+        assert "standard_exponential" in calls["reject"]  # near-absorption draw
         assert "random" in calls["sizes"]  # logged jump times
         assert len(ref.jumps) > 0
         assert_same_ensemble(new, ref)
