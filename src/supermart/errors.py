@@ -15,14 +15,4 @@ class SpectralError(SupermartError):
 
 
 class NumericalError(SupermartError):
-    """A simulation left the floating-point range: a mass overflowed.
-
-    ``paths`` holds the path ids with a non-finite mass and ``time`` the
-    first record time that holds one; both are None when the failure is
-    known before any path runs.
-    """
-
-    def __init__(self, message: str, paths=None, time=None):
-        super().__init__(message)
-        self.paths = paths
-        self.time = time
+    """A simulation left the floating-point range: a mass overflowed."""

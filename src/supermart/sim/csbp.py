@@ -33,8 +33,10 @@ theta)`` draw is ``theta`` times the sum of the path's next ``n`` pooled
 Every draw whose number varies from step to step (near-absorption
 exponentials, jump sizes and times, the spine's immigrant sizes) comes from
 a per-path `VariatePool`, so a step makes no Python call per cell; the
-records module gives the order in which a path consumes them.  A mass that
-leaves the floating-point range stops the run with `NumericalError`.
+records module gives the order in which a path consumes them.  A path whose
+mass leaves the floating-point range stops there, and once every chunk has
+run, `NumericalError` names all such paths and the first record that holds
+a non-finite mass.
 
 The variance has to be the end-of-step one.  A type that is empty at the
 start of a step but fed by the motion has a positive mean and, under the
@@ -164,27 +166,6 @@ def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_counts_by_type(u: np.ndarray, types: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """``_poisson_counts(u, means[types])`` for 1-D cells whose mean is their type's.
-
-    The cells that `_poisson_nonzero` leaves to its search take their count
-    from one table of ``pdtr`` per type, up to where it reaches 1, or from
-    `_poisson_quantile` above ``_POIS_SEARCH_CAP``.
-    """
-    out = np.zeros(u.shape, dtype=np.int64)
-    live = np.flatnonzero(u > np.exp(-means)[types])
-    ul, tl = u[live], types[live]
-    for i in np.flatnonzero(means > 0.0):
-        sel = tl == i
-        mu = float(means[i])
-        if mu > _POIS_SEARCH_CAP:
-            out[live[sel]] = _poisson_quantile(ul[sel], np.full(np.count_nonzero(sel), mu))
-        else:
-            cdf = pdtr(np.arange(math.ceil(mu + 12.0 * math.sqrt(mu) + 40.0)), mu)
-            out[live[sel]] = np.searchsorted(cdf, ul[sel])
-    return out
-
-
 def _pooled_gamma(
     pool: VariatePool, p: np.ndarray, n: np.ndarray, theta: np.ndarray, paths: int
 ) -> np.ndarray:
@@ -306,6 +287,7 @@ def simulate_csbp(
     masses = np.empty((cfg.paths, n_rec, d))
     m_out = np.empty((cfg.paths, n_rec))
     clipped = np.zeros(cfg.paths)
+    bad_step = np.full(cfg.paths, n_steps)  # first step with a non-finite mass
     jump_blocks = [np.empty((0, 4))]  # rows path_id, t, type, size
     total0 = float(np.sum(x0))
 
@@ -336,6 +318,7 @@ def simulate_csbp(
         # views of this chunk's rows of the outputs, filled in place
         mass_rec = masses[start : pids.stop]
         clip_acc = clipped[start : pids.stop]
+        first_bad = bad_step[start : pids.stop]
         x = np.tile(x0, (c, 1))
         mass_rec[:, 0, :] = x
 
@@ -380,16 +363,13 @@ def simulate_csbp(
 
             if immigration is not None:
                 x_new = x_new + immigration.step_mass(k, x, u[:, k, d:], sizes, imm_ctx)
-            if not np.isfinite(x_new).all():
-                bad = start + np.flatnonzero(~np.isfinite(x_new).all(axis=1))
-                t_bad = float(times[np.searchsorted(rec_idx, k + 1)])
-                ids = ", ".join(str(pid) for pid in bad[:10]) + (", ..." if len(bad) > 10 else "")
-                raise NumericalError(
-                    f"mass overflow: {len(bad)} path(s) hold a non-finite mass from the record "
-                    f"at t = {t_bad:g} on (path ids {ids})",
-                    paths=bad,
-                    time=t_bad,
-                )
+            finite = np.isfinite(x_new).all(axis=1)
+            if not finite.all():
+                # an overflowing path goes on from 0, so its non-finite mass
+                # cannot reach the next steps' draws; the run fails after
+                # every chunk has run
+                first_bad[~finite] = np.minimum(first_bad[~finite], k)
+                x_new[~finite] = 0.0
             neg = x_new < 0
             if neg.any():
                 clip_acc -= np.where(neg, x_new, 0.0).sum(axis=1)
@@ -404,6 +384,14 @@ def simulate_csbp(
         # free this chunk's planes and pools before the next chunk draws its own
         del g, u, imm_ctx, sizes, reject
 
+    bad = np.flatnonzero(bad_step < n_steps)
+    if len(bad):
+        t_bad = float(times[np.searchsorted(rec_idx, bad_step[bad].min() + 1)])
+        ids = ", ".join(str(pid) for pid in bad[:10]) + (", ..." if len(bad) > 10 else "")
+        raise NumericalError(
+            f"mass overflow: {len(bad)} path(s) of {cfg.paths} reach a non-finite mass, the "
+            f"first at the record t = {t_bad:g} (path ids {ids})"
+        )
     flagged = clipped > _CLIP_BUDGET * total0 * cfg.horizon
     log = np.concatenate(jump_blocks)
     # by path, then by time; lexsort is stable, so ties keep their draw order

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..model import Model
 from ..spectral import Eigentriple
-from .csbp import _by_type, _poisson_counts_by_type, simulate_csbp
+from .csbp import _by_type, _poisson_counts, simulate_csbp
 from .records import Ensemble, SpineConfig, check_x0
 
 __all__ = ["tilted_generator", "simulate_spine", "SpineResult"]
@@ -131,10 +131,10 @@ class _SpineImmigration:
         at = np.arange(0, add.size, self.d) + xi
         add_flat = add.reshape(-1)
 
-        cont_counts = _poisson_counts_by_type(u_extra[:, 0], xi, self.cont_rate * h)
+        cont_counts = _poisson_counts(u_extra[:, 0], self.cont_rate[xi] * h)
         add_flat[at] = cont_counts * cfg.delta
 
-        disc_counts = _poisson_counts_by_type(u_extra[:, 1], xi, self.disc_rate * h)
+        disc_counts = _poisson_counts(u_extra[:, 1], self.disc_rate[xi] * h)
         hit = np.flatnonzero(disc_counts)
         if len(hit):
             n = disc_counts[hit]

@@ -377,47 +377,55 @@ class TestPoissonCounts:
             got = _poisson_counts(u, mm)
             assert np.array_equal(got, poisson.ppf(u, mm).astype(np.int64)), m
 
-    def test_counts_by_type_equal_counts(self):
-        from scipy.special import pdtr
 
-        from supermart.sim.csbp import _poisson_counts, _poisson_counts_by_type
-
-        rng = np.random.default_rng(5)
-        means = np.array([0.0, 1e-8, 0.004, 5.0, 71.9, 72.5, 300.0])
-        types = rng.integers(0, len(means), 30000)
-        u = rng.random(types.size)
-        u[:50] = 0.0
-        u[50:100] = 1 - 2**-53
-        for i, m in enumerate(means):
-            steps = pdtr(np.arange(0.0, 60.0), m)
-            steps = steps[(steps > 0) & (steps < 1)]
-            at = np.flatnonzero(types == i)[100 : 100 + len(steps)]
-            u[at] = steps[: len(at)]
-        assert np.array_equal(_poisson_counts_by_type(u, types, means), _poisson_counts(u, means[types]))
+def _overflow_model(alpha):
+    # beta 8 over horizon 100: e^(800) overflows a float
+    return sm.model_from_json(
+        {
+            "types": 1,
+            "Q": [[0.0]],
+            "beta": [8.0],
+            "alpha": [alpha],
+            "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}],
+        }
+    )
 
 
 class TestOverflow:
     def test_non_finite_mass_raises_with_paths_and_time(self):
-        m = sm.model_from_json(
-            {
-                "types": 1,
-                "Q": [[0.0]],
-                "beta": [8.0],
-                "alpha": [0.5],
-                "kernels": [{"kind": "stable", "gamma": 0.0, "alpha": 1.5}],
-            }
-        )
+        m = _overflow_model(0.5)
         eig = sm.principal_eigentriple(m)
         cfg = sm.SimConfig(dt=0.5, horizon=100.0, paths=50, master_seed=1, epsilon=1.0)
         with np.errstate(all="ignore"), pytest.raises(sm.NumericalError) as err:
             sm.simulate_csbp(m, eig, cfg)
         assert isinstance(err.value, sm.SupermartError)
-        assert err.value.paths.tolist() == list(range(50))
-        assert err.value.time == 89.0
-        assert "50 path(s)" in str(err.value) and "t = 89" in str(err.value)
+        ids = ", ".join(str(j) for j in range(10))
+        assert str(err.value) == (
+            "mass overflow: 50 path(s) of 50 reach a non-finite mass, the first at the "
+            f"record t = 89 (path ids {ids}, ...)"
+        )
         # without a split the mean mass at the horizon already overflows
         with pytest.raises(sm.NumericalError, match="overflows at lambda = 8"):
             sm.simulate_csbp(m, eig, dataclasses.replace(cfg, epsilon=None))
+
+    def test_error_covers_every_chunk(self, set_chunk_paths):
+        # with alpha 20 most paths die out; of the rest, path 6 overflows at
+        # t = 88 and paths 0 and 1 at 88.5, so in chunks of 3 the first chunk
+        # that overflows is not the one with the first overflow
+        m = _overflow_model(20.0)
+        eig = sm.principal_eigentriple(m)
+        cfg = sm.SimConfig(dt=0.5, horizon=100.0, paths=12, master_seed=1, epsilon=1.0)
+        msgs = []
+        for chunk in (4096, 3, 1):
+            set_chunk_paths(chunk)
+            with np.errstate(all="ignore"), pytest.raises(sm.NumericalError) as err:
+                sm.simulate_csbp(m, eig, cfg)
+            msgs.append(str(err.value))
+        assert msgs[0] == (
+            "mass overflow: 4 path(s) of 12 reach a non-finite mass, the first at the "
+            "record t = 88 (path ids 0, 1, 5, 6)"
+        )
+        assert msgs[1] == msgs[0] and msgs[2] == msgs[0]
 
 
 class TestConfigValidation:
