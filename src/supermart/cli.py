@@ -227,7 +227,8 @@ _UNREAD = {
     + [f"sim.{key}" for key in SCENARIO_SCHEMA["properties"]["sim"]["properties"] if key != "paths"]
     + ["analyses.criteria.F", "analyses.criteria.t1", "analyses.rates.F"],
     "csbp": ["gw", "sim.delta", "sim.delta_floor"],
-    "spine": ["gw"],
+    # the rate checks and functionals judge P-laws, and spine paths follow Q^phi
+    "spine": ["gw", "analyses.rates", "analyses.functionals"],
 }
 # engine settings and their defaults, for `run` and `simulate`; Galton-Watson reads none
 _ENGINE_OPTIONS = {"dt": 0.005, "horizon": 4.0, "record_stride": 1}

@@ -238,11 +238,14 @@ def simulate_csbp(
 
     ``immigration`` is the spine sampler's hook; the plain process passes
     None.  It provides ``extra_uniform_planes``, the number of uniform
-    planes per step it reads; ``prepare_chunk(pids, streams)``, which returns
-    an opaque per-chunk context; and ``step_mass(k, x, u_extra, sizes,
-    ctx)``, the mass added in step ``k`` given the start-of-step state, its
-    uniform planes and the chunk's ``sizes`` pool, which the step's jumps
-    have already drawn from.
+    planes per step it reads; ``prepare_chunk(pids)``, which returns an
+    opaque context for the chunk of paths ``pids``; and ``step_mass(k, x,
+    u_imm, sizes, ctx)``, the mass added in step ``k`` given the
+    start-of-step state, its planes and the chunk's ``sizes`` pool, which
+    the step's jumps have already drawn from.  Each step a path draws its
+    uniforms from its ``counts`` stream in one row: ``d`` large-jump planes
+    when the model jumps, ``d`` near-absorption planes, then the hook's
+    ``u_imm``, the last ``extra_uniform_planes`` of the row.
 
     The paths run in fixed chunks of ``CHUNK_PATHS``, one after the other.
     ``threads`` is accepted for callers that still pass it, and only as 1.
@@ -292,11 +295,11 @@ def simulate_csbp(
     total0 = float(np.sum(x0))
 
     # uniform plane layout per step: large-jump counts (only when the model
-    # jumps), then near-absorption counts, then immigration counts
-    n_jump_planes = d if has_jumps else 0
-    small_lo = n_jump_planes
+    # jumps), then near-absorption counts, then the hook's own planes
+    small_lo = d if has_jumps else 0
+    imm_lo = small_lo + d
     extra = immigration.extra_uniform_planes if immigration is not None else 0
-    n_planes = n_jump_planes + d + extra
+    n_planes = imm_lo + extra
     decay = np.exp(-eig.lam * times)[None, :]
 
     for start in range(0, cfg.paths, CHUNK_PATHS):
@@ -308,7 +311,7 @@ def simulate_csbp(
         for j in range(c):  # each drawn from once: not kept
             streams.fresh(j, "gauss").standard_normal(out=g[j])
             streams.fresh(j, "counts").random(out=u[j])
-        imm_ctx = immigration.prepare_chunk(pids, streams) if immigration is not None else None
+        imm_ctx = immigration.prepare_chunk(pids) if immigration is not None else None
         sizes = VariatePool(streams, "sizes", "random", _SIZES_BATCH)
         reject = VariatePool(streams, "reject", "standard_exponential", _REJECT_BATCH)
         # per-type rates as (paths, types) arrays: products with them need no broadcast
@@ -362,7 +365,7 @@ def simulate_csbp(
                         )
 
             if immigration is not None:
-                x_new = x_new + immigration.step_mass(k, x, u[:, k, d:], sizes, imm_ctx)
+                x_new = x_new + immigration.step_mass(k, x, u[:, k, imm_lo:], sizes, imm_ctx)
             finite = np.isfinite(x_new).all(axis=1)
             if not finite.all():
                 # an overflowing path goes on from 0, so its non-finite mass

@@ -2,11 +2,12 @@
 
 Reproducibility contract: outputs depend on the config and the master seed,
 not on the chunk size.  Every path owns private RNG streams derived from
-``SeedSequence([master_seed, path_id])``, split into fixed roles (gaussians,
-event counts, event sizes, near-absorption draws, spine motion), and the
-engine fixes the draw order within each stream.  The near-absorption role
-keeps the name ``reject``, from a step-rejection redo the engine no longer
-has, and its index, so the roles after it keep their seeds.
+``SeedSequence([master_seed, path_id])``, split into four fixed roles:
+``gauss`` (Gaussian increments), ``counts`` (each step's row of uniform
+planes), ``sizes`` (jump and immigrant sizes, jump times) and ``reject``
+(near-absorption draws, named after a step-rejection redo the engine no
+longer has).  A role's index is its spawn key, so roles are only ever
+removed from the end; the engine fixes the draw order within each stream.
 
 The two roles whose draws per step vary reach the engine through a
 `VariatePool` each.  ``reject`` serves standard exponentials: a
@@ -53,7 +54,7 @@ __all__ = [
 # chunk's pre-drawn planes and must never depend on the machine.
 CHUNK_PATHS = 4096
 
-_STREAM_ROLES = ("gauss", "counts", "sizes", "reject", "spine")
+_STREAM_ROLES = ("gauss", "counts", "sizes", "reject")
 _ROLE_INDEX = {role: i for i, role in enumerate(_STREAM_ROLES)}
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)

@@ -5,7 +5,12 @@ independent copy from the original initial mass, plus mass immigrating along
 an immortal tilted particle (the spine):
 
 * the spine moves by the Doob-transformed motion with rates
-  ``q_ij phi_j / phi_i`` and starts from the ``phi``-biased initial law;
+  ``q_ij phi_j / phi_i`` and starts from the ``phi``-biased initial law.
+  The engine needs its type only at the start of each step, and on the
+  step grid the spine is the Markov chain with transition matrix
+  ``P_h = expm(h * tilted_generator)``: each step draws the next type from
+  the row of ``P_h`` at the current one, by inverse CDF at the step's
+  move uniform, for all paths at once;
 * continuum immigration is approximated by Poisson(``alpha(xi)/delta``) rate
   immigrants, each a CSBP copy started from mass ``delta`` at the spine's
   type (this matches the excursion measure's first moment exactly for any
@@ -26,10 +31,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from ..model import Model
 from ..spectral import Eigentriple
@@ -56,85 +61,74 @@ class SpineResult:
     """Size-biased ensemble plus per-path spine occupation fractions."""
 
     ensemble: Ensemble
-    occupation: np.ndarray  # (paths, d) fraction of time the spine spends per type
+    occupation: np.ndarray  # (paths, d) fraction of steps the spine starts at each type
+
+
+@dataclass
+class _Chunk:
+    rows: np.ndarray  # the chunk's rows of the hook's visits
+    xi: np.ndarray | None = None  # each path's type in the last step moved
 
 
 class _SpineImmigration:
-    """Immigration hook driven by per-path spine trajectories."""
+    """Immigration hook that moves each path's spine on the step grid.
 
-    extra_uniform_planes = 2  # continuum counts, discrete counts
+    Each step `step_mass` moves the spine's type, counts the visit in
+    ``visits`` and adds the immigrants at that type.
+    """
+
+    extra_uniform_planes = 3  # spine move, continuum counts, discrete counts
 
     def __init__(self, model: Model, eig: Eigentriple, cfg: SpineConfig, x0: np.ndarray):
-        self.eig = eig
         self.cfg = cfg
         self.d = model.d
-        self.n_steps = cfg.n_steps
-        tilted = tilted_generator(model, eig)
         init_w = eig.phi * x0
-        self.init_cdf = np.cumsum(init_w / init_w.sum()).tolist()
-        # per state: mean holding time and jump CDF, None where it absorbs
-        rates = -np.diag(tilted)
-        off = tilted.copy()
-        np.fill_diagonal(off, 0.0)
-        self.exit_scale = [1.0 / r if r > 0 else None for r in rates]
-        self.jump_cdf = [
-            np.cumsum(w / w.sum()).tolist() if r > 0 else None for w, r in zip(off, rates)
-        ]
+        self.init_cdf = np.cumsum(init_w / init_w.sum())
+        # row i: the CDF of the spine's type one step after type i
+        self.step_cdf = np.cumsum(linalg.expm(cfg.dt * tilted_generator(model, eig)), axis=1)
+        # u < 1 must land in the last type despite round-off in the sums
+        self.init_cdf[-1] = 1.0
+        self.step_cdf[:, -1] = 1.0
         self.disc_rate = np.array(
             [k.partial_moment(1.0, cfg.delta_floor, math.inf) for k in model.kernels]
         )
         self.cont_rate = model.alpha_diff / cfg.delta
         self.size_quantiles = [k.size_biased_tail_quantile for k in model.kernels]
-        self.occupation = np.empty((cfg.paths, self.d))
+        self.visits = np.zeros((cfg.paths, self.d), dtype=np.int64)
 
-    def _simulate_spine_path(self, rng) -> np.ndarray:
-        """Type index at the start of each step, via the embedded chain."""
-        h = self.cfg.dt
-        horizon = self.cfg.horizon
-        state = bisect_left(self.init_cdf, rng.random())
-        out = np.empty(self.n_steps, dtype=np.int8)
-        t = 0.0
-        pos = 0
-        while t < horizon and pos < self.n_steps:
-            scale = self.exit_scale[state]
-            if scale is None:
-                out[pos:] = state
-                break
-            stay = rng.exponential(scale)
-            until = min(self.n_steps, int(math.ceil((t + stay) / h - 1e-12)))
-            out[pos:until] = state
-            pos = until
-            t += stay
-            state = bisect_left(self.jump_cdf[state], rng.random())
-        return out
+    def prepare_chunk(self, pids):
+        """The chunk's spine state: its rows of ``visits``, no type drawn yet."""
+        return _Chunk(rows=np.arange(pids.start, pids.stop))
 
-    def prepare_chunk(self, pids, streams):
-        """Spine type per step of each path in ``pids``; fills their ``occupation`` rows."""
-        types = np.empty((len(pids), self.n_steps), dtype=np.int8)
-        for j in range(len(pids)):
-            types[j] = self._simulate_spine_path(streams.fresh(j, "spine"))
-        for i in range(self.d):
-            self.occupation[pids.start : pids.stop, i] = (types == i).mean(axis=1)
-        return types
+    def move(self, k, u_move, ctx) -> np.ndarray:
+        """Each path's type at the start of step ``k``, by inverse CDF at ``u_move``.
 
-    def step_mass(self, k, x_chunk, u_extra, sizes, ctx):
-        """Mass added this step; ``u_extra`` holds the two immigration planes.
+        Step 0 draws from the ``phi x0`` law; a later step from the row of
+        ``expm(dt * tilted)`` at the type of step ``k - 1``.
+        """
+        cdf = self.init_cdf if k == 0 else self.step_cdf[ctx.xi]
+        ctx.xi = (u_move[:, None] > cdf).sum(axis=1)
+        self.visits[ctx.rows, ctx.xi] += 1
+        return ctx.xi
+
+    def step_mass(self, k, x_chunk, u_imm, sizes, ctx):
+        """Mass added this step; ``u_imm`` holds the move and the two immigration planes.
 
         Each path's discrete immigrants take their sizes from the ``sizes``
         pool, after the step's jumps, and are summed in draw order.
         """
         cfg = self.cfg
         h = cfg.dt
-        xi = ctx[:, k]
+        xi = self.move(k, u_imm[:, 0], ctx)
         add = np.zeros_like(x_chunk)
         # each path's cell at the spine's type, as a flat index into add
         at = np.arange(0, add.size, self.d) + xi
         add_flat = add.reshape(-1)
 
-        cont_counts = _poisson_counts(u_extra[:, 0], self.cont_rate[xi] * h)
+        cont_counts = _poisson_counts(u_imm[:, 1], self.cont_rate[xi] * h)
         add_flat[at] = cont_counts * cfg.delta
 
-        disc_counts = _poisson_counts(u_extra[:, 1], self.disc_rate[xi] * h)
+        disc_counts = _poisson_counts(u_imm[:, 2], self.disc_rate[xi] * h)
         hit = np.flatnonzero(disc_counts)
         if len(hit):
             n = disc_counts[hit]
@@ -185,4 +179,4 @@ def simulate_spine(
         )
     imm = _SpineImmigration(model, eig, cfg, x0)
     ens = simulate_csbp(model, eig, cfg, x0=x0, immigration=imm, threads=threads)
-    return SpineResult(ensemble=ens, occupation=imm.occupation)
+    return SpineResult(ensemble=ens, occupation=imm.visits / cfg.n_steps)

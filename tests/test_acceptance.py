@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 
 import supermart as sm
 import supermart.cli
@@ -180,46 +180,61 @@ def test_criterion_5_pathwise_identities():
 
 def test_criterion_6_spine_size_biasing():
     el = timer()
-    model = sm.model_from_json(
-        {
-            "types": 2, "Q": [[-1.0, 1.0], [1.0, -1.0]], "beta": [1.2, 0.8],
-            "alpha": [0.5, 0.5],
-            "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}] * 2,
-        }
-    )
+    spec = {
+        "types": 2, "Q": [[-1.0, 1.0], [1.0, -1.0]], "beta": [1.2, 0.8],
+        "alpha": [0.5, 0.5],
+        "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}] * 2,
+    }
+    model = sm.model_from_json(spec)
     eig = sm.principal_eigentriple(model)
     paths = 100_000
+    horizon = 1.0
     plain = sm.simulate_csbp(
         model, eig,
-        sm.SimConfig(dt=2.5e-3, horizon=1.0, paths=paths, master_seed=404,
+        sm.SimConfig(dt=2.5e-3, horizon=horizon, paths=paths, master_seed=404,
                      record_stride=80, log_jumps=False),
     )
     ref = plain.M[:, -1] * (plain.masses[:, -1, :] @ eig.phi)  # mu(phi) = 1
+
+    # E^phi <phi, X_T> = E_nu[M_T <phi, X_T>] = e^{lam T} + e^{-lam T} Var_nu <phi, X_T>,
+    # the variance by quadrature of the second-moment formula with
+    # sigma2_i = alpha_i + sum w r^2
+    a = np.array(spec["Q"]) + np.diag(spec["beta"])
+    sigma2 = np.array(spec["alpha"]) + [sum(w * r * r for r, w in k["atoms"]) for k in spec["kernels"]]
+
+    def integrand(s):
+        carried = linalg.expm((horizon - s) * a) @ eig.phi
+        return float(eig.nu @ linalg.expm(s * a) @ (sigma2 * carried**2))
+
+    var = integrate.quad(integrand, 0.0, horizon, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    growth = math.exp(eig.lam * horizon)
+    target = growth + var / growth
 
     def ci(v):
         half = 1.96 * v.std(ddof=1) / math.sqrt(len(v))
         return v.mean() - half, v.mean() + half
 
     lo_r, hi_r = ci(ref)
-    disc = {}
+    z = {}
     overlaps = {}
     for delta in (1e-2, 1e-3):
         cfg = sm.SpineConfig(
-            dt=2.5e-3, horizon=1.0, paths=paths, master_seed=9, record_stride=80,
+            dt=2.5e-3, horizon=horizon, paths=paths, master_seed=9, record_stride=80,
             log_jumps=False, delta=delta, delta_floor=1e-3,
         )
         res = sm.simulate_spine(model, eig, cfg)
         phi_q = res.ensemble.masses[:, -1, :] @ eig.phi
         lo, hi = ci(phi_q)
         overlaps[delta] = lo <= hi_r and lo_r <= hi
-        disc[delta] = abs(float(phi_q.mean() - ref.mean()))
-    ok = all(overlaps.values()) and disc[1e-3] <= disc[1e-2]
+        z[delta] = float(phi_q.mean() - target) / (phi_q.std(ddof=1) / math.sqrt(paths))
+    ok = all(overlaps.values()) and all(abs(v) <= 4.0 for v in z.values())
     report(
         6,
         "spine size-biasing mean identity (1e5 paths per run)",
         ok,
         f"CI overlap: delta=1e-2 {overlaps[1e-2]}, delta=1e-3 {overlaps[1e-3]}; "
-        f"discrepancy {disc[1e-2]:.4f} -> {disc[1e-3]:.4f} (decreasing), {el():.0f}s",
+        f"z against the closed form {target:.5f}: {z[1e-2]:+.2f}, {z[1e-3]:+.2f} "
+        f"(|z| <= 4), {el():.0f}s",
     )
 
 

@@ -388,6 +388,18 @@ class TestBadSimSettings:
             ("csbp", {"sim.delta_floor": 1e-3}, "kind 'csbp' does not read sim.delta_floor"),
             ("spine", {"gw.generations": 5}, "kind 'spine' does not read gw"),
             ("csbp", {"analyses.criteria.t0": 5.0}, T0_REFUSED),
+            # spine paths follow the size-biased law, not the law the rate
+            # checks and functionals judge
+            (
+                "spine",
+                {"analyses": {"criteria": {"p": [1.2]}, "rates": {"p": [1.2]}}},
+                "kind 'spine' does not read analyses.rates",
+            ),
+            (
+                "spine",
+                {"analyses": {"criteria": {"p": [1.2]}, "functionals": {"kinds": ["A"]}}},
+                "kind 'spine' does not read analyses.functionals",
+            ),
         ],
     )
     def test_run(self, workdir, kind, sim, needle):

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_same_ensemble
+from conftest import STABLE_ATOMS, assert_same_ensemble
+from scipy import linalg
+from scipy.stats import chi2, chisquare
 
 import supermart as sm
+from supermart.sim.records import path_streams
 from supermart.sim.spine import _SpineImmigration, _truncation_budget
 from supermart.verify import suite_spine
 
@@ -44,53 +48,86 @@ class TestSpineOccupation:
         assert occ["passed"], occ
 
 
-def reference_spine_path(imm, tilted, init_cdf, rng):
-    """The embedded-chain sampler that rebuilt each jump's CDF at the jump."""
-    h = imm.cfg.dt
-    state = int(np.searchsorted(init_cdf, rng.random()))
-    out = np.empty(imm.n_steps, dtype=np.int8)
-    t = 0.0
-    pos = 0
-    while t < imm.cfg.horizon and pos < imm.n_steps:
-        rate = -tilted[state, state]
-        if rate <= 0:
-            out[pos:] = state
-            break
-        stay = rng.exponential(1.0 / rate)
-        until = min(imm.n_steps, int(math.ceil((t + stay) / h - 1e-12)))
-        out[pos:until] = state
-        pos = until
-        t += stay
-        w = tilted[state].copy()
-        w[state] = 0.0
-        state = int(np.searchsorted(np.cumsum(w / w.sum()), rng.random()))
-    return out
+THREE_TYPES = {
+    "types": 3,
+    "Q": [[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3], [2.0, 1.0, -3.0]],
+    "beta": [1.5, 0.5, 1.0],
+    "alpha": [0.5, 0.5, 0.5],
+    "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}] * 3,
+}
+
+
+def grid_types(imm, paths, seed):
+    """``(paths, steps)`` spine types from the hook's move, at seeded uniforms."""
+    rng = np.random.default_rng(seed)
+    ctx = imm.prepare_chunk(range(paths))
+    return np.stack([imm.move(k, rng.random(paths), ctx) for k in range(imm.cfg.n_steps)], axis=1)
 
 
 class TestSpinePathSampler:
-    def test_matches_per_jump_cdf_reference(self):
+    def test_grid_chain_law(self):
+        # the spine's type on the step grid is the chain with rows
+        # expm(dt * tilted): transition counts and the last step's law
+        m = sm.model_from_json(THREE_TYPES)
+        eig = sm.principal_eigentriple(m)
+        paths = 2000
+        cfg = sm.SpineConfig(dt=0.01, horizon=5.0, paths=paths, master_seed=1)
+        x0 = np.array([0.2, 0.5, 0.3])
+        imm = _SpineImmigration(m, eig, cfg, x0)
+        types = grid_types(imm, paths, seed=7)
+        tilted = sm.tilted_generator(m, eig)
+        step = linalg.expm(cfg.dt * tilted)
+        pairs = np.zeros((3, 3))
+        np.add.at(pairs, (types[:, :-1], types[:, 1:]), 1.0)
+        # given its visits to i, a chain's moves out of i are iid rows of the matrix
+        expected = pairs.sum(axis=1, keepdims=True) * step
+        stat = float(((pairs - expected) ** 2 / expected).sum())
+        assert chi2.sf(stat, df=3 * 2) > 1e-3, (pairs, expected)
+        init = eig.phi * x0 / (eig.phi * x0).sum()
+        last = init @ linalg.expm((cfg.n_steps - 1) * cfg.dt * tilted)
+        got = np.bincount(types[:, -1], minlength=3)
+        assert chisquare(got, paths * last).pvalue > 1e-3, (got, paths * last)
+        assert np.array_equal(imm.visits, np.stack([(types == i).sum(axis=1) for i in range(3)], axis=1))
+
+    def test_one_type(self):
         m = sm.model_from_json(
             {
-                "types": 3,
-                "Q": [[-1.0, 0.7, 0.3], [0.2, -0.5, 0.3], [2.0, 1.0, -3.0]],
-                "beta": [1.5, 0.5, 1.0],
-                "alpha": [0.5, 0.5, 0.5],
-                "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}] * 3,
+                "types": 1, "Q": [[0.0]], "beta": [1.0], "alpha": [0.5],
+                "kernels": [{"kind": "atoms", "atoms": [[0.5, 0.8]]}],
             }
         )
         eig = sm.principal_eigentriple(m)
-        cfg = sm.SpineConfig(dt=0.01, horizon=5.0, paths=1, master_seed=1)
-        x0 = np.array([0.2, 0.5, 0.3])
-        imm = _SpineImmigration(m, eig, cfg, x0)
-        tilted = sm.tilted_generator(m, eig)
-        init_cdf = np.cumsum(eig.phi * x0 / (eig.phi * x0).sum())
-        visited = set()
-        for seed in range(300):
-            got = imm._simulate_spine_path(np.random.default_rng(seed))
-            ref = reference_spine_path(imm, tilted, init_cdf, np.random.default_rng(seed))
-            assert np.array_equal(got, ref), seed
-            visited.update(np.unique(got).tolist())
-        assert visited == {0, 1, 2}
+        cfg = sm.SpineConfig(dt=0.01, horizon=1.0, paths=50, master_seed=4, record_stride=10)
+        imm = _SpineImmigration(m, eig, cfg, eig.nu)
+        assert not grid_types(imm, 50, seed=3).any()
+        res = sm.simulate_spine(m, eig, cfg)
+        assert np.array_equal(res.occupation, np.ones((50, 1)))
+
+    def test_hook_reads_the_last_three_planes(self, monkeypatch):
+        # a model with diffusion and jumps: each step's counts row holds d
+        # large-jump planes and d near-absorption planes before the hook's
+        model = sm.model_from_json(STABLE_ATOMS)
+        eig = sm.principal_eigentriple(model)
+        cfg = sm.SpineConfig(
+            dt=0.02, horizon=2.0, paths=40, master_seed=5, epsilon=0.3, delta=1e-2
+        )
+        seen = []
+        step_mass = _SpineImmigration.step_mass
+
+        def record(self, k, x, u_imm, sizes, ctx):
+            seen.append(u_imm.copy())
+            return step_mass(self, k, x, u_imm, sizes, ctx)
+
+        monkeypatch.setattr(_SpineImmigration, "step_mass", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # truncation budget of the stable kernel
+            sm.simulate_spine(model, eig, cfg)
+        got = np.stack(seen, axis=1)  # (paths, steps, planes)
+        streams = path_streams(cfg.master_seed, range(cfg.paths))
+        n_planes = 2 * model.d + 3
+        for j in range(cfg.paths):
+            row = streams.fresh(j, "counts").random((cfg.n_steps, n_planes))
+            assert np.array_equal(got[j], row[:, -3:]), j
 
 
 class TestNoImmigrationDegenerate:
