@@ -26,17 +26,18 @@ accounting budget could not hold, so the increment switches to a compound
 Poisson-exponential draw matched to the same mean and variance.  That
 distribution is the exact quadratic-branching transition shape: nonnegative,
 with a genuine atom at 0, so absorption emerges without clipping; for one
-type without jumps it is the exact Feller transition.  Its ``Gamma(n,
-theta)`` draw is ``theta`` times the sum of the path's next ``n`` pooled
-``reject`` exponentials.
+type without jumps it is the exact Feller transition.  A near-absorbing cell
+takes two uniforms: the first gives the Poisson count ``n``, the second the
+``Gamma(n, theta)`` sum by inverse CDF, so a cell costs the same whatever
+its count.
 
 Every draw whose number varies from step to step (near-absorption
-exponentials, jump sizes and times, the spine's immigrant sizes) comes from
-a per-path `VariatePool`, so a step makes no Python call per cell; the
-records module gives the order in which a path consumes them.  A path whose
-mass leaves the floating-point range stops there, and once every chunk has
-run, `NumericalError` names all such paths and the first record that holds
-a non-finite mass.
+uniforms, jump sizes and times, the spine's immigrant sizes) comes from the
+path's pooled ``sizes`` uniforms (`VariatePool`), so a step makes no Python
+call per cell; the records module gives the order in which a path consumes
+them.  A path whose mass leaves the floating-point range stops there, and
+once every chunk has run, `NumericalError` names all such paths and the
+first record that holds a non-finite mass.
 
 The variance has to be the end-of-step one.  A type that is empty at the
 start of a step but fed by the motion has a positive mean and, under the
@@ -52,7 +53,7 @@ import math
 
 import numpy as np
 from scipy import linalg
-from scipy.special import ndtri, pdtr, pdtrik
+from scipy.special import gammaincinv, ndtri, pdtr, pdtrik
 
 from ..errors import NumericalError
 from ..model import Model
@@ -66,10 +67,9 @@ _SMALL_Z2 = 36.0  # Gaussian branch needs mean >= 6 sigma to keep clipping negli
 # Poisson means up to the near-absorption bound 2 * _SMALL_Z2 are inverted by
 # a search on pdtr; larger ones by scipy's quantile formula
 _POIS_SEARCH_CAP = 2.0 * _SMALL_Z2
-# variates a path draws at a time: few jump sizes per path and step, but up
-# to about 72 exponentials per near-absorbing cell
+# uniforms a path draws at a time: two per near-absorbing cell and a few
+# jump sizes per step
 _SIZES_BATCH = 32
-_REJECT_BATCH = 128
 
 
 def auto_epsilon(
@@ -166,33 +166,17 @@ def _poisson_counts(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pooled_gamma(
-    pool: VariatePool, p: np.ndarray, n: np.ndarray, theta: np.ndarray, paths: int
-) -> np.ndarray:
-    """``Gamma(n, theta)`` per cell: ``theta`` times the sum of ``n`` pooled exponentials.
-
-    ``p`` holds each cell's path; the cells come in path order, and a path's
-    cells take its exponentials one after the other.
-    """
-    if not len(n):
-        return np.zeros(0)
-    e = pool.take(_per_path(p, n, paths))
-    return theta * np.add.reduceat(e, np.cumsum(n) - n)
-
-
-def _near_absorption(
-    det: np.ndarray, var: np.ndarray, u: np.ndarray, p: np.ndarray, reject: VariatePool, paths: int
-) -> np.ndarray:
+def _near_absorption(det: np.ndarray, var: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The compound Poisson-exponential draw with mean ``det`` and variance ``var`` per cell.
 
     A Poisson count with mean ``2 det^2 / var`` (0 where ``det <= 0``) at the
-    cell's uniform ``u``, then ``Gamma(count, var / (2 det))`` from the
-    ``reject`` exponentials of the cell's path ``p``.
+    cell's first uniform ``u[:, 0]``, then ``Gamma(count, var / (2 det))`` by
+    inverse CDF at its second ``u[:, 1]``.
     """
     lam = np.where(det > 0.0, 2.0 * det * det / np.maximum(var, 1e-300), 0.0)
-    hit, n = _poisson_nonzero(u, lam)
+    hit, n = _poisson_nonzero(u[:, 0], lam)
     out = np.zeros(len(det))
-    out[hit] = _pooled_gamma(reject, p[hit], n, var[hit] / (2.0 * det[hit]), paths)
+    out[hit] = var[hit] / (2.0 * det[hit]) * gammaincinv(n, u[hit, 1])
     return out
 
 
@@ -242,10 +226,11 @@ def simulate_csbp(
     opaque context for the chunk of paths ``pids``; and ``step_mass(k, x,
     u_imm, sizes, ctx)``, the mass added in step ``k`` given the
     start-of-step state, its planes and the chunk's ``sizes`` pool, which
-    the step's jumps have already drawn from.  Each step a path draws its
-    uniforms from its ``counts`` stream in one row: ``d`` large-jump planes
-    when the model jumps, ``d`` near-absorption planes, then the hook's
-    ``u_imm``, the last ``extra_uniform_planes`` of the row.
+    the step's near-absorbing cells and jumps have already drawn from.  Each
+    step a path draws its uniforms from its ``counts`` stream in one row:
+    ``d`` large-jump planes when the model jumps, then the hook's ``u_imm``,
+    the last ``extra_uniform_planes`` of the row.  A near-absorbing cell
+    takes its two uniforms from the ``sizes`` pool instead.
 
     The paths run in fixed chunks of ``CHUNK_PATHS``, one after the other.
     ``threads`` is accepted for callers that still pass it, and only as 1.
@@ -295,9 +280,8 @@ def simulate_csbp(
     total0 = float(np.sum(x0))
 
     # uniform plane layout per step: large-jump counts (only when the model
-    # jumps), then near-absorption counts, then the hook's own planes
-    small_lo = d if has_jumps else 0
-    imm_lo = small_lo + d
+    # jumps), then the hook's own planes
+    imm_lo = d if has_jumps else 0
     extra = immigration.extra_uniform_planes if immigration is not None else 0
     n_planes = imm_lo + extra
     decay = np.exp(-eig.lam * times)[None, :]
@@ -312,8 +296,7 @@ def simulate_csbp(
             streams.fresh(j, "gauss").standard_normal(out=g[j])
             streams.fresh(j, "counts").random(out=u[j])
         imm_ctx = immigration.prepare_chunk(pids) if immigration is not None else None
-        sizes = VariatePool(streams, "sizes", "random", _SIZES_BATCH)
-        reject = VariatePool(streams, "reject", "standard_exponential", _REJECT_BATCH)
+        sizes = VariatePool(streams, _SIZES_BATCH)
         # per-type rates as (paths, types) arrays: products with them need no broadcast
         m1_hc = np.tile(m1_h, (c, 1))
         rate_hc = np.tile(rate_h, (c, 1))
@@ -339,12 +322,13 @@ def simulate_csbp(
             # near-absorption branch: matched compound Poisson-exponential
             if small.any():
                 cells = np.flatnonzero(small)
-                p, i = np.divmod(cells, d)
+                p = cells // d
                 det_c = det.reshape(-1)[cells]
                 clip_acc -= np.bincount(p, weights=np.minimum(det_c, 0.0), minlength=c)
-                x_flat[cells] = _near_absorption(
-                    det_c, var.reshape(-1)[cells], u[p, k, small_lo + i], p, reject, c
-                )
+                # two uniforms per cell; the cells come in path order, types
+                # in order within a path
+                vals = sizes.take(2 * small.sum(axis=1)).reshape(-1, 2)
+                x_flat[cells] = _near_absorption(det_c, var.reshape(-1)[cells], vals)
 
             if has_jumps:
                 cells, n = _poisson_nonzero(u[:, k, :d], x * rate_hc)
@@ -385,7 +369,7 @@ def simulate_csbp(
 
         m_out[start : pids.stop] = decay * (mass_rec @ eig.phi)
         # free this chunk's planes and pools before the next chunk draws its own
-        del g, u, imm_ctx, sizes, reject
+        del g, u, imm_ctx, sizes
 
     bad = np.flatnonzero(bad_step < n_steps)
     if len(bad):

@@ -2,21 +2,19 @@
 
 Reproducibility contract: outputs depend on the config and the master seed,
 not on the chunk size.  Every path owns private RNG streams derived from
-``SeedSequence([master_seed, path_id])``, split into four fixed roles:
+``SeedSequence([master_seed, path_id])``, split into three fixed roles:
 ``gauss`` (Gaussian increments), ``counts`` (each step's row of uniform
-planes), ``sizes`` (jump and immigrant sizes, jump times) and ``reject``
-(near-absorption draws, named after a step-rejection redo the engine no
-longer has).  A role's index is its spawn key, so roles are only ever
-removed from the end; the engine fixes the draw order within each stream.
+planes) and ``sizes`` (every uniform whose number varies from step to
+step).  A role's index is its spawn key, so roles are only ever removed from
+the end; the engine fixes the draw order within each stream.
 
-The two roles whose draws per step vary reach the engine through a
-`VariatePool` each.  ``reject`` serves standard exponentials: a
-near-absorption cell with Poisson count ``n`` sums the next ``n`` of them.
-``sizes`` serves uniforms to the inverse CDFs of the kernels.  Within a step
-a path consumes them type after type, each type's jump sizes before its
-jump times (times only when jumps are logged), and then the spine's
-discrete immigrant sizes.  Every step draws from the streams in that order,
-so how a pool is batched, and how paths are chunked, moves no draw.
+The ``sizes`` uniforms reach the engine through a `VariatePool`.  Within a
+step a path consumes them in this order: its near-absorbing cells, type
+after type, two each (the Poisson count and the gamma sum); then its jumps,
+type after type, each type's jump sizes before its jump times (times only
+when jumps are logged); then the spine's discrete immigrant sizes.  Every
+step draws from the streams in that order, so how the pool is batched, and
+how paths are chunked, moves no draw.
 
 The stream of role ``r`` is the ``PCG64`` that
 ``SeedSequence(entropy=[master_seed, path_id], spawn_key=(r,))`` seeds, but
@@ -54,7 +52,7 @@ __all__ = [
 # chunk's pre-drawn planes and must never depend on the machine.
 CHUNK_PATHS = 4096
 
-_STREAM_ROLES = ("gauss", "counts", "sizes", "reject")
+_STREAM_ROLES = ("gauss", "counts", "sizes")
 _ROLE_INDEX = {role: i for i, role in enumerate(_STREAM_ROLES)}
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -181,23 +179,21 @@ class PathStreams:
 
 
 class VariatePool:
-    """One role's variates of a block of paths, each path in its own stream order.
+    """The ``sizes`` uniforms of a block of paths, each path in its own stream order.
 
-    ``take(need)`` hands path ``j`` its next ``need[j]`` variates, for every
+    ``take(need)`` hands path ``j`` its next ``need[j]`` uniforms, for every
     path at once, as one flat array that holds path 0's values, then path
     1's, and so on.  Over all calls, path ``j`` receives exactly what one
-    call ``getattr(streams[j, role], method)(total_j)`` returns.  Each path
-    keeps a buffer of ``batch`` slots, refilled from its own stream a whole
-    batch at a time once it is used up; the buffers are allocated at the
-    first request.
+    call ``streams[j, "sizes"].random(total_j)`` returns.  Each path keeps a
+    buffer of ``batch`` slots, refilled from its own stream a whole batch at
+    a time once it is used up; the buffers are allocated at the first
+    request.
     """
 
-    __slots__ = ("_streams", "_role", "_method", "_batch", "_buf", "_rows", "_pos")
+    __slots__ = ("_streams", "_batch", "_buf", "_rows", "_pos")
 
-    def __init__(self, streams: PathStreams, role: str, method: str, batch: int):
+    def __init__(self, streams: PathStreams, batch: int):
         self._streams = streams
-        self._role = role
-        self._method = method
         self._batch = batch
         self._buf = None  # (paths, batch)
         self._rows = None  # the rows of _buf, one view per path
@@ -228,7 +224,7 @@ class VariatePool:
             left = count[short] - give[short]
             dest = dest[short] + give[short]
             for q, (j, m, o) in enumerate(zip(paths[short].tolist(), left.tolist(), dest.tolist())):
-                draw = getattr(self._streams[j, self._role], self._method)
+                draw = self._streams[j, "sizes"].random
                 while m > b:
                     draw(out=out[o : o + b])
                     o += b

@@ -18,8 +18,8 @@ an immortal tilted particle (the spine):
 * discrete immigration arrives at rate ``int_{delta_floor}^inf y pi(xi, dy)``
   with size-biased initial masses (the kernel's
   ``size_biased_tail_quantile`` of the path's pooled ``sizes`` uniforms,
-  taken after the step's jumps); the part below ``delta_floor`` is dropped
-  and its accuracy cost is monitored.
+  taken after the step's near-absorption and jump draws); the part below
+  ``delta_floor`` is dropped and its accuracy cost is monitored.
 
 Because independent copies of a branching process superpose into one copy
 started from the summed mass, all immigrants are folded into a single state
@@ -115,7 +115,7 @@ class _SpineImmigration:
         """Mass added this step; ``u_imm`` holds the move and the two immigration planes.
 
         Each path's discrete immigrants take their sizes from the ``sizes``
-        pool, after the step's jumps, and are summed in draw order.
+        pool, after the step's other draws, and are summed in draw order.
         """
         cfg = self.cfg
         h = cfg.dt

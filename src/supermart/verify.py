@@ -170,7 +170,7 @@ def suite_martingale(paths: int = 4000, seed: int = 99) -> dict:
 
 
 def suite_identities(
-    paths: int = 100,
+    paths: int = 4000,
     dts=(4e-3, 2e-3, 1e-3),
     horizon: float = 3.0,
     seed: int = 42,

@@ -164,7 +164,7 @@ def test_criterion_4_feller_variance():
 
 def test_criterion_5_pathwise_identities():
     el = timer()
-    rep = suite_identities(paths=100, dts=(4e-3, 2e-3, 1e-3), horizon=3.0, seed=42)
+    rep = suite_identities(paths=4000, dts=(4e-3, 2e-3, 1e-3), horizon=3.0, seed=42)
     ratios = {c["name"]: c["ratios"] for c in rep["checks"]}
     worst = min(r for rs in ratios.values() for r in rs)
     ok = rep["passed"]

@@ -121,33 +121,39 @@ class TestFellerMoments:
 
 
 class TestNearAbsorptionDraw:
-    @pytest.mark.parametrize("n", [1, 5, 40])
-    def test_pooled_gamma_ks(self, n):
+    @pytest.mark.parametrize("lam", [0.04, 2.5, 8.0])
+    def test_law(self, lam):
         from scipy import stats
+        from scipy.special import gammainc
 
-        from supermart.sim.csbp import _pooled_gamma
-        from supermart.sim.records import VariatePool, path_streams
+        from supermart.sim.csbp import _near_absorption
 
-        # 2000 paths of ten cells each: every path sums 10 n pooled exponentials
-        paths, theta = 2000, 0.37
-        p = np.repeat(np.arange(paths), 10)
-        pool = VariatePool(path_streams(101 + n, range(paths)), "reject", "standard_exponential", 64)
-        draws = _pooled_gamma(pool, p, np.full(p.size, n), np.full(p.size, theta), paths)
-        assert stats.kstest(draws, "gamma", args=(n, 0.0, theta)).pvalue > 1e-3
+        # Poisson(lam) many Exp(theta): an atom exp(-lam) at 0, and given a
+        # positive value the CDF sum_{n >= 1} pois(n; lam) P(n, x / theta) / (1 - exp(-lam))
+        cells, theta = 200_000, 0.37
+        det, var = lam * theta, 2.0 * lam * theta * theta
+        u = np.random.default_rng(int(100 * lam)).random((cells, 2))
+        x = _near_absorption(np.full(cells, det), np.full(cells, var), u)
+        assert (x >= 0).all()
+        p0 = math.exp(-lam)
+        assert abs(np.mean(x == 0.0) - p0) <= 4 * math.sqrt(p0 * (1 - p0) / cells)
+        n = np.arange(1, 80)[:, None]
+        weights = stats.poisson.pmf(n, lam) / (1.0 - p0)
+
+        def cdf(v):
+            return (weights * gammainc(n, np.asarray(v)[None, :] / theta)).sum(axis=0)
+
+        assert stats.kstest(x[x > 0], cdf).pvalue > 1e-3
 
     def test_one_cell_atom_mean_and_variance(self):
         from supermart.sim.csbp import _near_absorption
-        from supermart.sim.records import VariatePool, path_streams
 
         # det^2 < 36 var; the matched law has an atom exp(-lam) at 0, mean det and
         # variance var; its cumulants are lam k! theta^k with theta = var / (2 det)
         cells, det, var = 100_000, 0.5, 0.1
         lam, theta = 2.0 * det * det / var, var / (2.0 * det)
-        reject = VariatePool(path_streams(77, range(cells)), "reject", "standard_exponential", 64)
-        u = np.random.default_rng(78).random(cells)
-        x = _near_absorption(
-            np.full(cells, det), np.full(cells, var), u, np.arange(cells), reject, cells
-        )
+        u = np.random.default_rng(78).random((cells, 2))
+        x = _near_absorption(np.full(cells, det), np.full(cells, var), u)
         assert (x >= 0).all()
         p0 = math.exp(-lam)
         assert abs(np.mean(x == 0.0) - p0) <= 4 * math.sqrt(p0 * (1 - p0) / cells)
@@ -409,23 +415,33 @@ class TestOverflow:
             sm.simulate_csbp(m, eig, dataclasses.replace(cfg, epsilon=None))
 
     def test_error_covers_every_chunk(self, set_chunk_paths):
-        # with alpha 20 most paths die out; of the rest, path 6 overflows at
-        # t = 88 and paths 0 and 1 at 88.5, so in chunks of 3 the first chunk
-        # that overflows is not the one with the first overflow
+        # with alpha 20 many paths die out; the others overflow near t = 88
         m = _overflow_model(20.0)
         eig = sm.principal_eigentriple(m)
         cfg = sm.SimConfig(dt=0.5, horizon=100.0, paths=12, master_seed=1, epsilon=1.0)
+
+        def overflow(paths):
+            with np.errstate(all="ignore"), pytest.raises(sm.NumericalError) as err:
+                sm.simulate_csbp(m, eig, dataclasses.replace(cfg, paths=paths))
+            return str(err.value)
+
         msgs = []
         for chunk in (4096, 3, 1):
             set_chunk_paths(chunk)
-            with np.errstate(all="ignore"), pytest.raises(sm.NumericalError) as err:
-                sm.simulate_csbp(m, eig, cfg)
-            msgs.append(str(err.value))
+            msgs.append(overflow(cfg.paths))
         assert msgs[0] == (
-            "mass overflow: 4 path(s) of 12 reach a non-finite mass, the first at the "
-            "record t = 88 (path ids 0, 1, 5, 6)"
+            "mass overflow: 8 path(s) of 12 reach a non-finite mass, the first at the "
+            "record t = 88 (path ids 1, 3, 4, 5, 6, 9, 10, 11)"
         )
         assert msgs[1] == msgs[0] and msgs[2] == msgs[0]
+        # the premise: in chunks of 3 the first chunk that overflows (the
+        # one of path 1) overflows later than the first overflow of the run;
+        # a run's paths draw alike at any path count, so the run of the
+        # first chunk's paths alone shows when that chunk overflows
+        assert overflow(3) == (
+            "mass overflow: 1 path(s) of 3 reach a non-finite mass, the first at the "
+            "record t = 88.5 (path ids 1)"
+        )
 
 
 class TestConfigValidation:

@@ -105,7 +105,7 @@ class TestSpinePathSampler:
 
     def test_hook_reads_the_last_three_planes(self, monkeypatch):
         # a model with diffusion and jumps: each step's counts row holds d
-        # large-jump planes and d near-absorption planes before the hook's
+        # large-jump planes before the hook's
         model = sm.model_from_json(STABLE_ATOMS)
         eig = sm.principal_eigentriple(model)
         cfg = sm.SpineConfig(
@@ -124,7 +124,7 @@ class TestSpinePathSampler:
             sm.simulate_spine(model, eig, cfg)
         got = np.stack(seen, axis=1)  # (paths, steps, planes)
         streams = path_streams(cfg.master_seed, range(cfg.paths))
-        n_planes = 2 * model.d + 3
+        n_planes = model.d + 3
         for j in range(cfg.paths):
             row = streams.fresh(j, "counts").random((cfg.n_steps, n_planes))
             assert np.array_equal(got[j], row[:, -3:]), j

@@ -13,7 +13,7 @@ from supermart.sim.records import VariatePool, path_streams
 
 # the stream contract: role r of path p under master m is
 # SeedSequence(entropy=[m, p], spawn_key=(r,)), roles in this order
-ROLES = ("gauss", "counts", "sizes", "reject")
+ROLES = ("gauss", "counts", "sizes")
 MASTERS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100)
 PATH_IDS = (0, 1, 4095, 4096, 2**31)
 
@@ -41,12 +41,12 @@ class TestChunkSeedWords:
 
     def test_kept_and_fresh_generators(self):
         streams = path_streams(5, range(3))
-        kept = streams[1, "reject"]
-        assert streams[1, "reject"] is kept
+        kept = streams[1, "sizes"]
+        assert streams[1, "sizes"] is kept
         first = kept.random()
         # a kept generator carries on; a fresh one starts the stream again
-        assert streams[1, "reject"].random() == reference_generator(5, 1, "reject").random(2)[1]
-        assert streams.fresh(1, "reject").random() == first
+        assert streams[1, "sizes"].random() == reference_generator(5, 1, "sizes").random(2)[1]
+        assert streams.fresh(1, "sizes").random() == first
 
     def test_out_of_range_ids_refused(self):
         with pytest.raises(ValueError):
@@ -61,11 +61,11 @@ class TestChunkSeedWords:
 
 class TestVariatePool:
     @pytest.mark.parametrize("paths", [1, 37, 4096])
-    @pytest.mark.parametrize("method", ["random", "standard_exponential"])
+    @pytest.mark.parametrize("method", ["random"])  # the one draw the pool serves
     def test_each_path_gets_one_call_of_its_stream(self, paths, method):
         rng = np.random.default_rng(paths)
         for batch in (1, 7, 512):
-            pool = VariatePool(path_streams(11, range(100, 100 + paths)), "sizes", method, batch)
+            pool = VariatePool(path_streams(11, range(100, 100 + paths)), batch)
             got = [[] for _ in range(paths)]
             for _ in range(12):
                 # steps that draw nothing, a few, and more than a batch
@@ -131,7 +131,7 @@ def reference_streams(monkeypatch):
 
 @pytest.mark.usefixtures("small_chunks")
 class TestEngineMatchesSeedSequenceStreams:
-    def test_csbp_stable_atoms_with_jump_log(self, reference_streams):
+    def test_csbp_stable_atoms_with_jump_log(self, reference_streams, monkeypatch):
         model = sm.model_from_json(STABLE_ATOMS)
         eig = sm.principal_eigentriple(model)
         # dt 0.02 with the small split: some mass falls into the
@@ -139,9 +139,19 @@ class TestEngineMatchesSeedSequenceStreams:
         cfg = sm.SimConfig(dt=0.02, horizon=2.0, paths=400, master_seed=2**33 + 7, epsilon=0.3)
         new = sm.simulate_csbp(model, eig, cfg)
         calls = reference_streams()
+        near = csbp_mod._near_absorption
+        seen = []
+
+        def record(det, var, u):
+            seen.append(u)
+            return near(det, var, u)
+
+        monkeypatch.setattr(csbp_mod, "_near_absorption", record)
         ref = sm.simulate_csbp(model, eig, cfg)
-        assert "standard_exponential" in calls["reject"]  # near-absorption draw
-        assert "random" in calls["sizes"]  # logged jump times
+        assert "reject" not in calls
+        # near-absorbing cells and jumps draw uniforms from sizes, nothing else
+        assert calls["sizes"] == {"random"}
+        assert sum(len(u) for u in seen) > 0
         assert len(ref.jumps) > 0
         assert_same_ensemble(new, ref)
 
